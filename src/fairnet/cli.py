@@ -39,6 +39,7 @@ from .reductions import (
     gen_xsat,
 )
 from .solvers import (
+    SolverChoice,
     _run_candidates,
     parameter_report,
     solve_auto,
@@ -109,12 +110,8 @@ def run_algorithm(
         raise InputError(f"unknown algorithm {algo!r}")
     if k is not None:
         return runner(graph, labels, k)
-    stats = SolveStats()
     candidates = fairness_constant_candidates(graph, labels)
-    won = _run_candidates(candidates, stats, lambda kk: runner(graph, labels, kk))
-    if won is not None:
-        return SolveOutcome(won.verdict, won.certificate, stats)
-    return SolveOutcome.make_unfair(stats)
+    return _run_candidates(candidates, SolveStats(), lambda kk: runner(graph, labels, kk))
 
 
 def _load(path: str) -> Instance:
@@ -125,21 +122,21 @@ def _load(path: str) -> Instance:
     return read_instance(text)
 
 
-def _print_outcome(outcome: SolveOutcome, graph: Graph, labels: LabelMultiset) -> None:
+def _print_outcome(outcome: SolveOutcome, choice: SolverChoice, algo: str, n: int) -> None:
+    """The report; for `auto` the strategy line names what it dispatched to."""
     print(f"verdict {outcome.verdict.value}")
     if outcome.fair:
         cert = outcome.certificate
         print(f"k {'none' if cert.constant is None else cert.constant}")
         print(("cert " + " ".join(str(v) for v in cert.labels)).rstrip())
-    choice = parameter_report(graph, labels)
-    print(f"n {graph.vertex_count}")
+    print(f"n {n}")
     print(f"delta {choice.delta}")
     print(f"alpha {choice.alpha}")
     print(f"fvs {choice.fvs if choice.fvs is not None else '-'}")
     print(f"vc {choice.vc if choice.vc is not None else '-'}")
     if choice.regular is not None:
         print(f"r {choice.regular}")
-    print(f"strategy {choice.tag.value}")
+    print(f"strategy {choice.tag.value if algo == 'auto' else algo}")
     print(f"nodes {outcome.stats.nodes}")
     print(f"ilp_calls {outcome.stats.ilp_calls}")
     for line in outcome.stats.trace:
@@ -151,7 +148,8 @@ def cmd_solve(args) -> int:
     k = args.k if args.k is not None else instance.k
     with _time_limit(args.timeout):
         outcome = run_algorithm(args.algo, instance.graph, instance.labels, k)
-    _print_outcome(outcome, instance.graph, instance.labels)
+        choice = parameter_report(instance.graph, instance.labels)
+    _print_outcome(outcome, choice, args.algo, instance.graph.vertex_count)
     return EXIT_FAIR if outcome.fair else EXIT_UNFAIR
 
 

@@ -1,9 +1,12 @@
 """Feasibility search for small bounded integer programs.
 
-Counting formulations elsewhere in the package (leaf-multiset assignment for
-star forests, cycle pattern allocation, independent-class label counts) all
-reduce to: find integers x within box bounds satisfying linear equalities and
-inequalities.  Variables here are few and tightly bounded, so an exact
+Every counting question in the package (which leaf group each star takes,
+which period-4 pattern each cycle takes, which label each vertex of an
+independent class takes) is one question, built by `Allocation`: allocate the
+members of each group to choices, where a choice uses some copies of each
+label value per member, so that every group is fully allocated and the label
+supply is used up exactly.  Optional rows fix the label total placed in a set
+of groups.  Variables here are few and tightly bounded, so an exact
 depth-first search over variables in declaration order, with interval
 propagation on every constraint, decides feasibility deterministically and
 returns the smallest-first solution.
@@ -12,6 +15,7 @@ returns the smallest-first solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Hashable, Mapping, Sequence
 
 from .model import InputError
 
@@ -85,16 +89,6 @@ class IpSolution:
         return self.assignment is not None
 
 
-def dump_program(program: IntegerProgram) -> str:
-    """Line-oriented debug dump: `var <name> <lo> <hi>` then
-    `con <c1> <c2> ... <rel> <rhs>` per constraint."""
-    lines = [f"var {v.name} {v.lower} {v.upper}" for v in program.variables]
-    for c in program.constraints:
-        coeffs = " ".join(str(a) for a in c.coefficients)
-        lines.append(f"con {coeffs} {c.relation} {c.rhs}".replace("  ", " "))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def solve_feasible(program: IntegerProgram) -> IpSolution:
     """Deterministic feasibility search.
 
@@ -160,3 +154,67 @@ def solve_feasible(program: IntegerProgram) -> IpSolution:
         assert program.check(solution)
         return IpSolution(solution)
     return IpSolution(None)
+
+
+class Allocation:
+    """Counting program: allocate the members of each group to choices.
+
+    `groups` holds (size, choices) per group, where `choices` maps each choice
+    to the copies of each label value that one member taking it uses.  The
+    variable of (group, choice) counts the members of the group that take the
+    choice; variables run group by group in choice order.  Every group must
+    be fully allocated and the supply used up exactly.  Each set of group
+    indices in `sums` adds a row fixing the total of the labels placed in
+    those groups.  The structure is built once; `program` instantiates it for
+    one supply and one right-hand side per `sums` row.
+    """
+
+    def __init__(self, groups: Sequence[tuple[int, Mapping[Hashable, Mapping[int, int]]]],
+                 sums: Sequence[Collection[int]] = ()):
+        self._cells = [
+            (g, size, choice, use)
+            for g, (size, choices) in enumerate(groups)
+            for choice, use in choices.items()
+        ]
+        self._names = tuple(f"x{i}" for i in range(len(self._cells)))
+        self._group_rows = tuple(
+            Constraint(tuple(int(cg == g) for cg, *_ in self._cells), "=", size)
+            for g, (size, _) in enumerate(groups)
+        )
+        values = {v for *_, use in self._cells for v in use}
+        self._value_rows = {
+            v: tuple(use.get(v, 0) for *_, use in self._cells) for v in values
+        }
+        self._sum_rows = tuple(
+            tuple(
+                sum(v * c for v, c in use.items()) if g in members else 0
+                for g, _, _, use in self._cells
+            )
+            for members in sums
+        )
+        self._zero_row = (0,) * len(self._cells)
+
+    def program(self, supply: Mapping[int, int], totals: Sequence[int] = ()) -> IntegerProgram:
+        """The program for this supply; the bounds cut off no feasible point."""
+        variables = tuple(
+            IntVar(name, 0, min([size] + [supply.get(v, 0) // c for v, c in use.items()]))
+            for name, (_, size, _, use) in zip(self._names, self._cells)
+        )
+        constraints = [*self._group_rows]
+        constraints.extend(
+            Constraint(self._value_rows.get(v, self._zero_row), "=", count)
+            for v, count in sorted(supply.items())
+            if count
+        )
+        constraints.extend(
+            Constraint(row, "=", total)
+            for row, total in zip(self._sum_rows, totals, strict=True)
+        )
+        return IntegerProgram(variables, tuple(constraints))
+
+    def decode(self, solution: IpSolution) -> list[list[Hashable]]:
+        """Per group, the choice each member takes, in choice order."""
+        picked: list[list[Hashable]] = [[] for _ in self._group_rows]
+        for name, (g, _, choice, _) in zip(self._names, self._cells):
+            picked[g].extend([choice] * solution.assignment[name])
+        return picked

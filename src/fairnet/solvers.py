@@ -10,13 +10,12 @@ that a disjoint union is fair only under one shared constant.
 from __future__ import annotations
 
 import os
-import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .ilp import Constraint, IntegerProgram, IntVar, solve_feasible
+from .ilp import Allocation, solve_feasible
 from .model import (
     FairnessCertificate,
     Graph,
@@ -28,8 +27,9 @@ from .model import (
     certified_outcome,
     fairness_constant_candidates,
     require_constant,
+    timed,
 )
-from .special import enumerate_boundary_extensions, solve_disjoint_stars
+from .special import _solve_cycles, enumerate_boundary_extensions, solve_disjoint_stars
 from .structure import (
     Shape,
     classify,
@@ -180,6 +180,7 @@ class _OracleSearch:
             self.assignment[i] = None
 
 
+@timed
 def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> SolveOutcome:
     """Exhaustive exact decision; canonically first certificate.
 
@@ -190,21 +191,16 @@ def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> S
         raise InputError("label multiset size does not match the vertex count")
     if k is not None:
         require_constant(k)
-    t0 = time.perf_counter()
     stats = SolveStats()
     if graph.is_edgeless():
-        stats.elapsed = time.perf_counter() - t0
         return _vacuous_outcome(labels, stats)
     if graph.min_degree() == 0:
         # an isolated vertex sees 0 while its constrained peers see >= 1
         stats.trace.append("isolated vertex next to constrained vertices")
-        stats.elapsed = time.perf_counter() - t0
         return SolveOutcome.make_unfair(stats)
     search = _OracleSearch(graph, labels, k)
     for assignment, constant in search.completions(stats):
-        stats.elapsed = time.perf_counter() - t0
         return certified_outcome(graph, labels, assignment, constant, stats)
-    stats.elapsed = time.perf_counter() - t0
     return SolveOutcome.make_unfair(stats)
 
 
@@ -223,13 +219,13 @@ def oracle_constants(graph: Graph, labels: LabelMultiset) -> list[int]:
     return sorted({constant for _, constant in search.completions(stats)})
 
 
+@timed
 def solve_vc_delta(
     graph: Graph, labels: LabelMultiset, k: int | None = None
 ) -> SolveOutcome:
     """Named pass-through strategy: the vertex count is at most vc * delta
     whenever no vertex is isolated, so exhaustive search is the bounded
     brute force.  Delegates to the oracle and records the bound."""
-    t0 = time.perf_counter()
     stats = SolveStats()
     n = graph.vertex_count
     if 0 < n <= EXACT_PARAM_LIMIT:
@@ -238,10 +234,7 @@ def solve_vc_delta(
         stats.trace.append(f"size bound: n={n}, vc*delta={vc * delta}")
     else:
         stats.trace.append("size bound not evaluated (graph too large for exact vc)")
-    sub = solve_oracle(graph, labels, k)
-    stats.absorb(sub.stats)
-    stats.elapsed = time.perf_counter() - t0
-    return SolveOutcome(sub.verdict, sub.certificate, stats)
+    return _adopt(stats, solve_oracle(graph, labels, k))
 
 
 def _reject_isolated(graph: Graph) -> None:
@@ -268,6 +261,7 @@ def _pendant_screen(graph: Graph, stats: SolveStats) -> bool:
     return False
 
 
+@timed
 def solve_fvs_alpha_delta(graph: Graph, labels: LabelMultiset, k: int) -> SolveOutcome:
     """Fixed-constant decision via feedback-vertex-set boundary enumeration.
 
@@ -281,10 +275,8 @@ def solve_fvs_alpha_delta(graph: Graph, labels: LabelMultiset, k: int) -> SolveO
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
     _reject_isolated(graph)
-    t0 = time.perf_counter()
     stats = SolveStats()
     if _pendant_screen(graph, stats):
-        stats.elapsed = time.perf_counter() - t0
         return SolveOutcome.make_unfair(stats)
     report = classify(graph)
     star_vertices = [
@@ -295,10 +287,7 @@ def solve_fvs_alpha_delta(graph: Graph, labels: LabelMultiset, k: int) -> SolveO
     ]
     rest_vertices = sorted(set(range(graph.vertex_count)) - set(star_vertices))
     if not rest_vertices:
-        sub = solve_disjoint_stars(graph, labels, k)
-        stats.absorb(sub.stats)
-        stats.elapsed = time.perf_counter() - t0
-        return SolveOutcome(sub.verdict, sub.certificate, stats)
+        return _adopt(stats, solve_disjoint_stars(graph, labels, k))
 
     g1, ids1 = graph.induced(rest_vertices)
     g2, ids2 = graph.induced(star_vertices)
@@ -312,24 +301,19 @@ def solve_fvs_alpha_delta(graph: Graph, labels: LabelMultiset, k: int) -> SolveO
             sum(merged[u] for u in g1.adjacency[v]) != k for v in fvs
         ):
             continue
-        if g2.vertex_count == 0:
-            assignment = [0] * graph.vertex_count
-            for local, value in merged.items():
-                assignment[ids1[local]] = value
-            stats.elapsed = time.perf_counter() - t0
-            return certified_outcome(graph, labels, assignment, k, stats)
-        residual = labels.minus(LabelMultiset.from_iterable(merged.values()))
-        sub = solve_disjoint_stars(g2, residual, k)
-        stats.absorb(sub.stats)
-        if sub.fair:
-            assignment = [0] * graph.vertex_count
-            for local, value in merged.items():
-                assignment[ids1[local]] = value
-            for local, value in enumerate(sub.certificate.labels):
-                assignment[ids2[local]] = value
-            stats.elapsed = time.perf_counter() - t0
-            return certified_outcome(graph, labels, assignment, k, stats)
-    stats.elapsed = time.perf_counter() - t0
+        star_labels: tuple[int, ...] = ()
+        if g2.vertex_count:
+            residual = labels.minus(LabelMultiset.from_iterable(merged.values()))
+            sub = _adopt(stats, solve_disjoint_stars(g2, residual, k))
+            if not sub.fair:
+                continue
+            star_labels = sub.certificate.labels
+        assignment = [0] * graph.vertex_count
+        for local, value in merged.items():
+            assignment[ids1[local]] = value
+        for local, value in enumerate(star_labels):
+            assignment[ids2[local]] = value
+        return certified_outcome(graph, labels, assignment, k, stats)
     return SolveOutcome.make_unfair(stats)
 
 
@@ -415,6 +399,7 @@ class _CoverEnumeration:
         yield from rec(0)
 
 
+@timed
 def solve_vc_alpha(graph: Graph, labels: LabelMultiset, k: int) -> SolveOutcome:
     """Fixed-constant decision via vertex-cover labeling plus a counting program.
 
@@ -430,7 +415,6 @@ def solve_vc_alpha(graph: Graph, labels: LabelMultiset, k: int) -> SolveOutcome:
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
     _reject_isolated(graph)
-    t0 = time.perf_counter()
     stats = SolveStats()
     cover = minimum_vertex_cover(graph)
     cover_set = set(cover)
@@ -441,69 +425,40 @@ def solve_vc_alpha(graph: Graph, labels: LabelMultiset, k: int) -> SolveOutcome:
         if v not in cover_set:
             groups.setdefault(graph.adjacency[v], []).append(v)
     class_list = sorted(groups.items(), key=lambda item: item[1][0])
-    distinct = labels.distinct_values
+    # per cover vertex with independent neighbors: those classes, and the
+    # cover-side neighbors whose labels leave the rest of its constant
+    cover_rows = []
+    for v in cover:
+        adjacent = [i for i, (nbrs, _members) in enumerate(class_list) if v in nbrs]
+        if adjacent:
+            cover_rows.append(
+                (adjacent, tuple(u for u in graph.adjacency[v] if u in cover_set))
+            )
+    one_each = {value: {value: 1} for value in labels.distinct_values}
+    allocation = Allocation(
+        [(len(members), one_each) for _nbrs, members in class_list],
+        [adjacent for adjacent, _ in cover_rows],
+    )
 
     enumeration = _CoverEnumeration(graph, labels, k, cover, class_list)
     for g_map in enumeration.assignments(stats):
-        remaining = Counter(labels.counts)
-        for value in g_map.values():
-            remaining[value] -= 1
-        variables = []
-        index: list[tuple[int, int]] = []
-        for i, (_nbrs, members) in enumerate(class_list):
-            for value in distinct:
-                bound = min(len(members), remaining[value])
-                variables.append(IntVar(f"n{i}_{value}", 0, bound))
-                index.append((i, value))
-        constraints = []
-        for i, (_nbrs, members) in enumerate(class_list):
-            coeffs = tuple(1 if ci == i else 0 for ci, _ in index)
-            constraints.append(Constraint(coeffs, "=", len(members)))
-        for value in distinct:
-            coeffs = tuple(1 if cv == value else 0 for _, cv in index)
-            constraints.append(Constraint(coeffs, "=", remaining[value]))
-        for v in cover:
-            adjacent_classes = {
-                i for i, (nbrs, _members) in enumerate(class_list) if v in nbrs
-            }
-            if not adjacent_classes:
-                continue
-            rhs = k - sum(g_map[u] for u in graph.adjacency[v] if u in cover_set)
-            coeffs = tuple(
-                value if i in adjacent_classes else 0 for i, value in index
-            )
-            constraints.append(Constraint(coeffs, "=", rhs))
+        remaining = labels.counts - Counter(g_map.values())
+        totals = [k - sum(g_map[u] for u in nbrs) for _, nbrs in cover_rows]
         stats.ilp_calls += 1
-        solution = solve_feasible(IntegerProgram(tuple(variables), tuple(constraints)))
+        solution = solve_feasible(allocation.program(remaining, totals))
         if not solution.feasible:
             continue
         assignment = [0] * graph.vertex_count
         for v, value in g_map.items():
             assignment[v] = value
-        for i, (_nbrs, members) in enumerate(class_list):
-            fill: list[int] = []
-            for value in distinct:
-                fill.extend([value] * solution.assignment[f"n{i}_{value}"])
+        for (_nbrs, members), fill in zip(class_list, allocation.decode(solution)):
             for v, value in zip(members, fill):
                 assignment[v] = value
-        stats.elapsed = time.perf_counter() - t0
         return certified_outcome(graph, labels, assignment, k, stats)
-    stats.elapsed = time.perf_counter() - t0
     return SolveOutcome.make_unfair(stats)
 
 
-def _cycle_order(graph: Graph, comp: tuple[int, ...]) -> list[int]:
-    # deterministic walk around a cycle component of a 2-regular graph
-    start = comp[0]
-    order = [start]
-    prev, cur = start, min(graph.adjacency[start])
-    while cur != start:
-        order.append(cur)
-        a, b = graph.adjacency[cur]
-        prev, cur = cur, b if a == prev else a
-    return order
-
-
+@timed
 def solve_regular_fvs(
     graph: Graph, labels: LabelMultiset, k: int | None = None
 ) -> SolveOutcome:
@@ -524,126 +479,27 @@ def solve_regular_fvs(
         raise InputError("label multiset size does not match the vertex count")
     if k is not None:
         require_constant(k)
-    t0 = time.perf_counter()
     stats = SolveStats()
     total = r * labels.total()
     if total % n != 0:
         stats.trace.append("constant r*sum/n is not an integer")
-        stats.elapsed = time.perf_counter() - t0
         return SolveOutcome.make_unfair(stats)
     if k is not None and k != total // n:
         stats.trace.append(f"requested constant {k} differs from forced {total // n}")
-        stats.elapsed = time.perf_counter() - t0
         return SolveOutcome.make_unfair(stats)
     k = total // n
     stats.trace.append(f"regular degree {r}, constant {k}")
 
     if r == 1:
         if labels.alpha == 1:
-            stats.elapsed = time.perf_counter() - t0
             return certified_outcome(graph, labels, labels.values, k, stats)
         stats.trace.append("matching edges force equal endpoint labels")
-        stats.elapsed = time.perf_counter() - t0
         return SolveOutcome.make_unfair(stats)
 
     if r >= 3:
         stats.trace.append("delegating to exhaustive search")
-        sub = solve_oracle(graph, labels, k=k)
-        stats.absorb(sub.stats)
-        stats.elapsed = time.perf_counter() - t0
-        return SolveOutcome(sub.verdict, sub.certificate, stats)
-
-    comps = connected_components(graph)
-    if labels.alpha > 4 * len(comps):
-        stats.trace.append("more distinct values than cycle patterns can use")
-        stats.elapsed = time.perf_counter() - t0
-        return SolveOutcome.make_unfair(stats)
-
-    plain = [c for c in comps if len(c) % 4 != 0]
-    period4 = [c for c in comps if len(c) % 4 == 0]
-    half_needed = sum(len(c) for c in plain)
-    remaining = Counter(labels.counts)
-    if half_needed:
-        if k % 2 != 0:
-            stats.trace.append("odd constant but a cycle length not divisible by 4")
-            stats.elapsed = time.perf_counter() - t0
-            return SolveOutcome.make_unfair(stats)
-        if remaining[k // 2] < half_needed:
-            stats.trace.append("not enough copies of k/2 for the plain cycles")
-            stats.elapsed = time.perf_counter() - t0
-            return SolveOutcome.make_unfair(stats)
-        remaining[k // 2] -= half_needed
-
-    chosen_patterns: dict[int, list[tuple[int, int]]] = {}
-    if period4:
-        # candidate patterns (a, b, k-a, k-b), deduplicated by multiset
-        patterns: list[tuple[tuple[int, int], Counter]] = []
-        seen: set[tuple[tuple[int, int], ...]] = set()
-        values = sorted(v for v in remaining if remaining[v] > 0)
-        for a in values:
-            if not 1 <= k - a:
-                continue
-            for b in values:
-                if b < a or k - b < 1:
-                    continue
-                use = Counter((a, b, k - a, k - b))
-                if any(remaining[v] < c for v, c in use.items()):
-                    continue
-                key = tuple(sorted(use.items()))
-                if key in seen:
-                    continue
-                seen.add(key)
-                patterns.append(((a, b), use))
-
-        lengths = sorted({len(c) for c in period4})
-        count_by_length = Counter(len(c) for c in period4)
-        variables = []
-        index: list[tuple[int, int]] = []  # (length, pattern position)
-        for length in lengths:
-            for p, _ in enumerate(patterns):
-                variables.append(IntVar(f"x{length}_{p}", 0, count_by_length[length]))
-                index.append((length, p))
-        constraints = []
-        for length in lengths:
-            coeffs = tuple(1 if cl == length else 0 for cl, _ in index)
-            constraints.append(Constraint(coeffs, "=", count_by_length[length]))
-        leftover_values = sorted(remaining)
-        for value in leftover_values:
-            coeffs = tuple(
-                (cl // 4) * patterns[cp][1].get(value, 0) for cl, cp in index
-            )
-            constraints.append(Constraint(coeffs, "=", remaining[value]))
-        stats.ilp_calls += 1
-        solution = solve_feasible(IntegerProgram(tuple(variables), tuple(constraints)))
-        if not solution.feasible:
-            stats.elapsed = time.perf_counter() - t0
-            return SolveOutcome.make_unfair(stats)
-        for length in lengths:
-            queue: list[tuple[int, int]] = []
-            for p, (pair, _) in enumerate(patterns):
-                queue.extend([pair] * solution.assignment[f"x{length}_{p}"])
-            chosen_patterns[length] = queue
-    elif sum(remaining.values()) != 0:
-        stats.trace.append("labels left over after the plain cycles")
-        stats.elapsed = time.perf_counter() - t0
-        return SolveOutcome.make_unfair(stats)
-
-    assignment = [0] * n
-    taken = {length: 0 for length in chosen_patterns}
-    for comp in comps:
-        order = _cycle_order(graph, comp)
-        length = len(comp)
-        if length % 4 != 0:
-            for v in order:
-                assignment[v] = k // 2
-        else:
-            a, b = chosen_patterns[length][taken[length]]
-            taken[length] += 1
-            period = (a, b, k - a, k - b)
-            for idx, v in enumerate(order):
-                assignment[v] = period[idx % 4]
-    stats.elapsed = time.perf_counter() - t0
-    return certified_outcome(graph, labels, assignment, k, stats)
+        return _adopt(stats, solve_oracle(graph, labels, k=k))
+    return _solve_cycles(graph, labels, k, stats)
 
 
 def _component_constant_filter(graph: Graph, labels: LabelMultiset,
@@ -762,17 +618,24 @@ def parameter_report(graph: Graph, labels: LabelMultiset) -> SolverChoice:
     return SolverChoice(tag, fvs_size, vc_size, alpha, delta, r)
 
 
+def _adopt(stats: SolveStats, sub: SolveOutcome) -> SolveOutcome:
+    """The delegate's verdict under the caller's stats, which absorb its effort."""
+    stats.absorb(sub.stats)
+    return SolveOutcome(sub.verdict, sub.certificate, stats)
+
+
 def _run_candidates(candidates: list[int], stats: SolveStats,
-                    run: Callable[[int], SolveOutcome]) -> SolveOutcome | None:
+                    run: Callable[[int], SolveOutcome]) -> SolveOutcome:
+    """The first fair outcome over the candidates, else unfair, under `stats`."""
     for k in candidates:
-        sub = run(k)
-        stats.absorb(sub.stats)
-        stats.trace.append(f"k={k}: {sub.verdict.value}")
-        if sub.fair:
-            return sub
-    return None
+        outcome = _adopt(stats, run(k))
+        stats.trace.append(f"k={k}: {outcome.verdict.value}")
+        if outcome.fair:
+            return outcome
+    return SolveOutcome.make_unfair(stats)
 
 
+@timed
 def solve_auto(
     graph: Graph, labels: LabelMultiset, k: int | None = None
 ) -> SolveOutcome:
@@ -794,20 +657,16 @@ def solve_auto(
             return cands
         return [k] if k in cands else []
 
-    t0 = time.perf_counter()
     stats = SolveStats()
     report = classify(graph)
 
     if report.shape is Shape.EDGELESS_ONLY:
         stats.trace.append("edgeless: fair with no constraint")
-        stats.elapsed = time.perf_counter() - t0
         return _vacuous_outcome(labels, stats)
     if report.shape is Shape.HAS_ISOLATED_MIXED:
         stats.trace.append("isolated vertex next to constrained vertices")
-        stats.elapsed = time.perf_counter() - t0
         return SolveOutcome.make_unfair(stats)
     if _pendant_screen(graph, stats):
-        stats.elapsed = time.perf_counter() - t0
         return SolveOutcome.make_unfair(stats)
 
     if report.shape is Shape.DISJOINT_STARS:
@@ -817,21 +676,14 @@ def solve_auto(
             )
         )
         stats.trace.append(f"disjoint stars; candidates {candidates}")
-        won = _run_candidates(
+        return _run_candidates(
             candidates, stats, lambda k: solve_disjoint_stars(graph, labels, k)
         )
-        stats.elapsed = time.perf_counter() - t0
-        if won is not None:
-            return SolveOutcome(won.verdict, won.certificate, stats)
-        return SolveOutcome.make_unfair(stats)
 
     r = report.regular_degree
     if r is not None and r >= 1:
         stats.trace.append(f"regular graph of degree {r}")
-        sub = solve_regular_fvs(graph, labels, k)
-        stats.absorb(sub.stats)
-        stats.elapsed = time.perf_counter() - t0
-        return SolveOutcome(sub.verdict, sub.certificate, stats)
+        return _adopt(stats, solve_regular_fvs(graph, labels, k))
 
     candidates = narrowed(
         _component_constant_filter(
@@ -840,7 +692,6 @@ def solve_auto(
     )
     stats.trace.append(f"candidates {candidates}")
     if not candidates:
-        stats.elapsed = time.perf_counter() - t0
         return SolveOutcome.make_unfair(stats)
 
     plan = _plan_general(graph, labels)
@@ -854,15 +705,8 @@ def solve_auto(
         )
     )
     if plan.tag is StrategyTag.ORACLE:
-        sub = solve_oracle(graph, labels, k)
-        stats.absorb(sub.stats)
-        stats.elapsed = time.perf_counter() - t0
-        return SolveOutcome(sub.verdict, sub.certificate, stats)
+        return _adopt(stats, solve_oracle(graph, labels, k))
     runner = (
         solve_vc_alpha if plan.tag is StrategyTag.VC_ALPHA else solve_fvs_alpha_delta
     )
-    won = _run_candidates(candidates, stats, lambda k: runner(graph, labels, k))
-    stats.elapsed = time.perf_counter() - t0
-    if won is not None:
-        return SolveOutcome(won.verdict, won.certificate, stats)
-    return SolveOutcome.make_unfair(stats)
+    return _run_candidates(candidates, stats, lambda k: runner(graph, labels, k))

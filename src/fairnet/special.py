@@ -8,6 +8,9 @@ condition with constant K:
 * On a cycle whose length is not a multiple of 4, alternating the defining
   equations forces every label to K/2.  When the length is a multiple of 4
   the fair labelings are exactly the period-4 patterns (a, b, K-a, K-b).
+  One implementation serves single cycles and every 2-regular graph: on a
+  disjoint union of cycles, which cycles take which pattern is a counting
+  program.
 * Across a disjoint union of stars, each center takes K and the leaf sets
   partition the remaining labels into groups of prescribed sizes each summing
   to K; existence is a small counting program over distinct label values.
@@ -18,13 +21,12 @@ condition with constant K:
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping
 
 from .build import cycle_graph, star_graph
-from .ilp import Constraint, IntegerProgram, IntVar, solve_feasible
+from .ilp import Allocation, solve_feasible
 from .model import (
     FairnetError,
     Graph,
@@ -34,12 +36,14 @@ from .model import (
     SolveStats,
     certified_outcome,
     require_constant,
+    timed,
 )
 from .structure import connected_components
 
 PartialAssignment = dict[int, int]
 
 
+@timed
 def solve_single_star(leaf_count: int, labels: LabelMultiset, k: int) -> SolveOutcome:
     """Decide fairness of the canonical star (center 0, leaves 1..n)."""
     require_constant(k)
@@ -47,33 +51,15 @@ def solve_single_star(leaf_count: int, labels: LabelMultiset, k: int) -> SolveOu
         raise InputError("star needs at least one leaf")
     if len(labels) != leaf_count + 1:
         raise InputError("label count must be leaf count plus one")
-    t0 = time.perf_counter()
     stats = SolveStats()
     fair = labels.multiplicity(k) >= 1 and labels.total() - k == k
-    stats.elapsed = time.perf_counter() - t0
     if not fair:
         return SolveOutcome.make_unfair(stats)
     rest = labels.remove_copies(k, 1)
     return certified_outcome(star_graph(leaf_count), labels, (k, *rest.values), k, stats)
 
 
-def _cycle_pattern(length: int, labels: LabelMultiset, k: int) -> tuple[int, int] | None:
-    """First (a, b) whose period-4 pattern consumes the multiset exactly."""
-    quarter = length // 4
-    for a in labels.distinct_values:
-        if k - a < 1:
-            continue
-        for b in labels.distinct_values:
-            if b < a or k - b < 1:
-                continue
-            need = Counter()
-            for value in (a, b, k - a, k - b):
-                need[value] += quarter
-            if need == labels.counts:
-                return a, b
-    return None
-
-
+@timed
 def solve_cycle(length: int, labels: LabelMultiset, k: int) -> SolveOutcome:
     """Decide fairness of the canonical cycle 0-1-...-(n-1)-0."""
     require_constant(k)
@@ -81,23 +67,83 @@ def solve_cycle(length: int, labels: LabelMultiset, k: int) -> SolveOutcome:
         raise InputError("cycle needs at least three vertices")
     if len(labels) != length:
         raise InputError("label count must equal the cycle length")
-    t0 = time.perf_counter()
-    stats = SolveStats()
-    if length % 4 != 0:
-        half = k // 2
-        fair = k % 2 == 0 and labels.counts == Counter({half: length})
-        stats.elapsed = time.perf_counter() - t0
-        if not fair:
-            return SolveOutcome.make_unfair(stats)
-        return certified_outcome(cycle_graph(length), labels, (half,) * length, k, stats)
-    pattern = _cycle_pattern(length, labels, k)
-    stats.elapsed = time.perf_counter() - t0
-    if pattern is None:
+    return _solve_cycles(cycle_graph(length), labels, k, SolveStats())
+
+
+def _cycle_order(graph: Graph, comp: tuple[int, ...]) -> list[int]:
+    # deterministic walk around a cycle component of a 2-regular graph
+    start = comp[0]
+    order = [start]
+    prev, cur = start, min(graph.adjacency[start])
+    while cur != start:
+        order.append(cur)
+        a, b = graph.adjacency[cur]
+        prev, cur = cur, b if a == prev else a
+    return order
+
+
+def _solve_cycles(graph: Graph, labels: LabelMultiset, k: int,
+                  stats: SolveStats) -> SolveOutcome:
+    """Decide a validated 2-regular graph (disjoint cycles) for constant k.
+
+    Cycles whose length is not a multiple of 4 take K/2 everywhere.  Each
+    other cycle takes one period-4 pattern (a, b, K-a, K-b); how many cycles
+    of each length take each pattern, deduplicated by label multiset, is a
+    counting program over the labels the plain cycles leave.
+    """
+    comps = connected_components(graph)
+    if labels.alpha > 4 * len(comps):
+        stats.trace.append("more distinct values than cycle patterns can use")
         return SolveOutcome.make_unfair(stats)
-    a, b = pattern
-    period = (a, b, k - a, k - b)
-    assignment = tuple(period[i % 4] for i in range(length))
-    return certified_outcome(cycle_graph(length), labels, assignment, k, stats)
+
+    half_needed = sum(len(c) for c in comps if len(c) % 4 != 0)
+    remaining = Counter(labels.counts)
+    if half_needed:
+        if k % 2 != 0:
+            stats.trace.append("odd constant but a cycle length not divisible by 4")
+            return SolveOutcome.make_unfair(stats)
+        if remaining[k // 2] < half_needed:
+            stats.trace.append("not enough copies of k/2 for the plain cycles")
+            return SolveOutcome.make_unfair(stats)
+        remaining[k // 2] -= half_needed
+
+    count_by_length = Counter(len(c) for c in comps if len(c) % 4 == 0)
+    lengths = sorted(count_by_length)
+    picked: dict[int, Iterator[tuple[int, int]]] = {}
+    if lengths:
+        # per label multiset, the first pattern (a, b, k-a, k-b) that uses it
+        patterns: dict[tuple, tuple[tuple[int, int], Counter]] = {}
+        values = sorted(v for v in remaining if remaining[v] > 0)
+        for a in values:
+            for b in values:
+                use = Counter((a, b, k - a, k - b))
+                if a <= b < k and all(remaining[v] >= c for v, c in use.items()):
+                    patterns.setdefault(tuple(sorted(use.items())), ((a, b), use))
+        allocation = Allocation([
+            (
+                count_by_length[length],
+                {
+                    pair: {v: length // 4 * c for v, c in use.items()}
+                    for pair, use in patterns.values()
+                },
+            )
+            for length in lengths
+        ])
+        stats.ilp_calls += 1
+        solution = solve_feasible(allocation.program(remaining))
+        if not solution.feasible:
+            return SolveOutcome.make_unfair(stats)
+        picked = {length: iter(p) for length, p in zip(lengths, allocation.decode(solution))}
+    elif sum(remaining.values()) != 0:
+        stats.trace.append("labels left over after the plain cycles")
+        return SolveOutcome.make_unfair(stats)
+
+    assignment = [0] * graph.vertex_count
+    for comp in comps:
+        a, b = next(picked[len(comp)]) if len(comp) % 4 == 0 else (k // 2, k // 2)
+        for idx, v in enumerate(_cycle_order(graph, comp)):
+            assignment[v] = (a, b, k - a, k - b)[idx % 4]
+    return certified_outcome(graph, labels, assignment, k, stats)
 
 
 def star_decomposition(graph: Graph) -> list[tuple[int, tuple[int, ...]]]:
@@ -115,6 +161,7 @@ def star_decomposition(graph: Graph) -> list[tuple[int, tuple[int, ...]]]:
     return stars
 
 
+@timed
 def solve_disjoint_stars(graph: Graph, labels: LabelMultiset, k: int) -> SolveOutcome:
     """Decide fairness of a disjoint union of stars via a counting program.
 
@@ -129,55 +176,34 @@ def solve_disjoint_stars(graph: Graph, labels: LabelMultiset, k: int) -> SolveOu
     if len(labels) != n:
         raise InputError("label multiset size does not match the vertex count")
     stars = star_decomposition(graph)
-    t0 = time.perf_counter()
     stats = SolveStats()
     t = len(stars)
     if labels.multiplicity(k) < t:
-        stats.elapsed = time.perf_counter() - t0
         return SolveOutcome.make_unfair(stats)
     leftover = labels.remove_copies(k, t)
     by_size: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for center, leaves in sorted(stars):
         by_size.setdefault(len(leaves), []).append((center, leaves))
     sizes = sorted(by_size)
-    distinct = leftover.distinct_values
-
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for size in sizes:
-        found = [
-            combo
-            for combo in combinations_with_replacement(distinct, size)
-            if sum(combo) == k
-            and all(leftover.multiplicity(v) >= c for v, c in Counter(combo).items())
-        ]
-        groups[size] = found
-
-    variables = []
-    index: list[tuple[int, tuple[int, ...]]] = []
-    for size in sizes:
-        for j, combo in enumerate(groups[size]):
-            variables.append(IntVar(f"n{size}_{j}", 0, len(by_size[size])))
-            index.append((size, combo))
-    constraints = []
-    for size in sizes:
-        coeffs = tuple(1 if sz == size else 0 for sz, _ in index)
-        constraints.append(Constraint(coeffs, "=", len(by_size[size])))
-    for value in distinct:
-        coeffs = tuple(Counter(combo)[value] for _, combo in index)
-        constraints.append(Constraint(coeffs, "=", leftover.multiplicity(value)))
-    program = IntegerProgram(tuple(variables), tuple(constraints))
+    allocation = Allocation([
+        (
+            len(by_size[size]),
+            {
+                combo: Counter(combo)
+                for combo in combinations_with_replacement(leftover.distinct_values, size)
+                if sum(combo) == k
+            },
+        )
+        for size in sizes
+    ])
     stats.ilp_calls += 1
-    solution = solve_feasible(program)
-    stats.elapsed = time.perf_counter() - t0
+    solution = solve_feasible(allocation.program(leftover.counts))
     if not solution.feasible:
         return SolveOutcome.make_unfair(stats)
 
     assignment = [0] * n
-    for size in sizes:
-        queue: list[tuple[int, ...]] = []
-        for j, combo in enumerate(groups[size]):
-            queue.extend([combo] * solution.assignment[f"n{size}_{j}"])
-        for (center, leaves), combo in zip(by_size[size], queue):
+    for size, combos in zip(sizes, allocation.decode(solution)):
+        for (center, leaves), combo in zip(by_size[size], combos):
             assignment[center] = k
             for leaf, value in zip(sorted(leaves), combo):
                 assignment[leaf] = value

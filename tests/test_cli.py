@@ -119,6 +119,24 @@ class TestSolve:
         assert code == 2
         assert "refused: timed out" in capsys.readouterr().err
 
+    def test_timeout_covers_the_report(self, tmp_path, capsys):
+        # auto screens this instance at once; the report's exact fvs and vc
+        # on 32 vertices would run far past the budget
+        main(
+            ["generate", "random", "--n", "32", "--p", "0.3", "--seed", "1",
+             "--maxlabel", "3", "--out", str(tmp_path / "g32")]
+        )
+        assert main(["solve", str(tmp_path / "g32"), "--timeout", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refused: timed out" in captured.err
+
+    @pytest.mark.parametrize("algo", ["oracle", "fvs-alpha-delta", "vc-delta"])
+    def test_strategy_line_names_the_strategy_that_ran(self, tmp_path, capsys, algo):
+        main(["generate", "circulant", "--n", "10", "--r", "4", "--out", str(tmp_path / "c")])
+        main(["solve", str(tmp_path / "c"), "--algo", algo])
+        assert f"\nstrategy {algo}\n" in capsys.readouterr().out
+
     def test_bad_timeout(self, tmp_path, capsys):
         assert main(["solve", put(tmp_path, "c4", C4_TEXT), "--timeout", "-1"]) == 3
         capsys.readouterr()

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fairnet import Constraint, InputError, IntegerProgram, IntVar, solve_feasible
-from fairnet.ilp import dump_program
+from fairnet.ilp import Allocation
 
 
 def box_reference(program: IntegerProgram):
@@ -102,13 +102,27 @@ class TestSolve:
                 assert got.assignment == expected
 
 
-class TestDump:
-    def test_dump_format(self):
-        p = IntegerProgram(
-            (IntVar("x", 0, 2),),
-            (Constraint((3,), ">=", 1),),
+class TestAllocation:
+    def test_program_decodes_in_choice_order(self):
+        # two groups of sizes 2 and 1; group 1 may only take the pair (1, 2)
+        allocation = Allocation(
+            [(2, {"a": {1: 1}, "b": {2: 1}}), (1, {"ab": {1: 1, 2: 1}})]
         )
-        assert dump_program(p) == "var x 0 2\ncon 3 >= 1\n"
+        program = allocation.program({1: 2, 2: 2})
+        assert [v.upper for v in program.variables] == [2, 2, 1]
+        solution = solve_feasible(program)
+        assert solution.assignment == box_reference(program)
+        assert allocation.decode(solution) == [["a", "b"], ["ab"]]
 
-    def test_dump_empty(self):
-        assert dump_program(IntegerProgram((), ())) == ""
+    def test_unusable_supply_is_infeasible(self):
+        allocation = Allocation([(1, {"a": {1: 1}})])
+        assert not solve_feasible(allocation.program({1: 1, 5: 1})).feasible
+
+    def test_sum_rows(self):
+        # both groups pick one label each; the labels of group 0 must total 3
+        one_each = {v: {v: 1} for v in (1, 2, 3)}
+        allocation = Allocation([(1, one_each), (1, one_each)], [{0}])
+        solution = solve_feasible(allocation.program({1: 1, 3: 1}, [3]))
+        assert allocation.decode(solution) == [[3], [1]]
+        with pytest.raises(ValueError):
+            allocation.program({1: 1, 3: 1})

@@ -167,6 +167,14 @@ class TestVcAlpha:
         assert out.fair
         assert verify(instance.graph, instance.labels, out.certificate.labels) == 15
 
+    def test_certificate_pinned(self):
+        # cover {0, 1, 2}; independent classes {3, 4}, {5, 6} and {7}
+        g = Graph.from_edges(
+            8, [(0, 3), (1, 3), (0, 4), (1, 4), (1, 5), (2, 5), (1, 6), (2, 6), (0, 7), (2, 7)]
+        )
+        out = solve_vc_alpha(g, S(4, 4, 4, 4, 1, 3, 2, 2), 8)
+        assert out.certificate.labels == (4, 4, 4, 2, 2, 1, 3, 4)
+
     def test_rejects_isolated(self):
         with pytest.raises(InputError):
             solve_vc_alpha(Graph.from_edges(3, [(0, 1)]), S(1, 2, 3), 2)
@@ -211,6 +219,15 @@ class TestRegularFvs:
         out = solve_regular_fvs(g, labels)
         assert out.fair
         assert verify(g, labels, out.certificate.labels) == 4
+
+    def test_period4_union_certificate_pinned(self):
+        # C4 + C8 admit several pattern allocations; the counting program
+        # picks its lexicographically smallest one
+        g = disjoint_union(cycle_graph(4), cycle_graph(8))
+        labels = S(1, 1, 1, 1, 5, 5, 5, 5, 2, 2, 4, 4)
+        out = solve_regular_fvs(g, labels)
+        assert out.certificate.labels == (2, 2, 4, 4, 1, 1, 5, 5, 1, 1, 5, 5)
+        assert out.certificate.constant == 6
 
     def test_alpha_bound_reject(self):
         # single cycle, five distinct values > 4 patterns can hold

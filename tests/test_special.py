@@ -132,6 +132,13 @@ class TestDisjointStars:
         assert out.fair
         assert verify(g, labels, out.certificate.labels) == 4
 
+    def test_certificate_pinned(self):
+        # sizes 3, 3, 2, 1 with several valid leaf groupings
+        g = disjoint_union(star_graph(3), star_graph(3), star_graph(2), star_graph(1))
+        labels = S(7, 7, 7, 7, 1, 2, 4, 1, 1, 5, 3, 4, 7)
+        out = solve_disjoint_stars(g, labels, 7)
+        assert out.certificate.labels == (7, 1, 1, 5, 7, 1, 2, 4, 7, 3, 4, 7, 7)
+
     def test_group_split_infeasible(self):
         g = disjoint_union(star_graph(2), star_graph(2))
         # two center 5s; leaves {1, 4, 2, 2}: one pair must sum 5 twice -> 1+4 and 2+... 2+3 missing
