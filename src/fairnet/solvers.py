@@ -294,13 +294,10 @@ def solve_fvs_alpha_delta(graph: Graph, labels: LabelMultiset, k: int) -> SolveO
     fvs = minimum_feedback_vertex_set(g1)
     forest = [v for v in range(g1.vertex_count) if v not in set(fvs)]
     stats.trace.append(f"fvs size {len(fvs)} on the non-star part")
-    for merged in enumerate_boundary_extensions(g1, forest, labels, k, extra_boundary=fvs):
-        stats.nodes += 1
-        # forest equations hold by construction; the feedback vertices remain
-        if any(
-            sum(merged[u] for u in g1.adjacency[v]) != k for v in fvs
-        ):
-            continue
+    extensions = enumerate_boundary_extensions(
+        g1, forest, labels, k, extra_boundary=fvs, stats=stats
+    )
+    for merged in extensions:
         star_labels: tuple[int, ...] = ()
         if g2.vertex_count:
             residual = labels.minus(LabelMultiset.from_iterable(merged.values()))

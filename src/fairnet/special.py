@@ -16,7 +16,12 @@ condition with constant K:
   to K; existence is a small counting program over distinct label values.
 * Inside an induced forest, once the labels of the forest's leaves and of its
   outside neighbors are fixed, every internal label is forced bottom-up: the
-  neighborhood equation of a child determines its parent.
+  neighborhood equation of a child determines its parent.  The boundary
+  enumeration labels the boundary in a fixed order and checks as it goes:
+  each tree is forced, and each equation checked, at the position where its
+  last input is labeled, so it yields only extensions that satisfy every
+  equation they fully label, in the same order as filtering whole boundary
+  labelings would.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from .model import (
 from .structure import connected_components
 
 PartialAssignment = dict[int, int]
+# an internal forest vertex and, per child w, the neighbors of w but the vertex
+ForcingStep = tuple[int, tuple[tuple[int, ...], ...]]
 
 
 @timed
@@ -241,13 +248,11 @@ class ForestExtender:
         self.boundary = self.leaves | self.outside_neighbors
         self.internal = sorted(forest - self.leaves)
 
-        # per internal vertex, in processing order: for each child w, the
-        # neighbors of w other than the vertex itself
-        self.plan: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
+        # per tree with an internal vertex, its forcing steps in processing
+        # order, the root last
+        self.trees: list[list[ForcingStep]] = []
         # equations over boundary labels only (vertices of size <= 2 trees)
         self.pre_checks: list[tuple[int, ...]] = []
-        # root equations, decidable once the plan has forced all internals
-        self.post_checks: list[tuple[int, ...]] = []
 
         seen: set[int] = set()
         for root_candidate in sorted(forest):
@@ -261,9 +266,7 @@ class ForestExtender:
                     raise FairnetError("internal error: tree without internal vertex")
                 self.pre_checks.extend(tuple(graph.adjacency[v]) for v in sorted(tree))
                 continue
-            root = min(internals)
-            self._plan_tree(root, inner_deg)
-            self.post_checks.append(tuple(graph.adjacency[root]))
+            self.trees.append(self._plan_tree(min(internals), inner_deg))
 
     def _tree_of(self, start: int) -> list[int]:
         tree = [start]
@@ -284,7 +287,7 @@ class ForestExtender:
             raise InputError("designated vertices do not induce a forest")
         return sorted(tree)
 
-    def _plan_tree(self, root: int, inner_deg: Mapping[int, int]) -> None:
+    def _plan_tree(self, root: int, inner_deg: Mapping[int, int]) -> list[ForcingStep]:
         parent = {root: -1}
         levels = [[root]]
         while levels[-1]:
@@ -300,6 +303,7 @@ class ForestExtender:
         for v, p in parent.items():
             if p >= 0:
                 children[p].append(v)
+        steps = []
         for level in reversed(levels):
             for v in sorted(level):
                 if inner_deg[v] < 2:
@@ -308,40 +312,42 @@ class ForestExtender:
                     tuple(u for u in self.graph.adjacency[w] if u != v)
                     for w in sorted(children[v])
                 )
-                self.plan.append((v, entries))
+                steps.append((v, entries))
+        return steps
 
-    def run(self, boundary_labels: Mapping[int, int], k: int,
-            check_domain: bool = True, check_roots: bool = False) -> PartialAssignment | None:
+    def run(self, boundary_labels: Mapping[int, int], k: int) -> PartialAssignment | None:
         """Force the interior labels; None on conflict.
 
-        The recursion itself only checks sibling agreement, positivity, and
-        the equations of all-boundary trees.  With check_roots the equations
-        of the tree roots (decidable once all interior labels exist) are
-        enforced as well, which callers searching for globally fair
-        labelings use as an extra sound filter.
+        Checks sibling agreement, positivity, and the equations of
+        all-boundary trees.  The equations of the tree roots are left to
+        callers: they are decidable only once all interior labels exist.
         """
-        if check_domain and set(boundary_labels) != self.boundary:
+        if set(boundary_labels) != self.boundary:
             raise InputError("boundary labeling must cover exactly N(F) and the leaves of F")
         result = dict(boundary_labels)
         for nbrs in self.pre_checks:
             if sum(result[u] for u in nbrs) != k:
                 return None
-        for v, entries in self.plan:
-            forced = None
-            for others in entries:
-                value = k - sum(result[u] for u in others)
-                if forced is None:
-                    forced = value
-                elif value != forced:
+        for steps in self.trees:
+            for v, entries in steps:
+                forced = _forced_value(entries, result, k)
+                if forced is None or forced < 1:
                     return None
-            if forced is None or forced < 1:
-                return None
-            result[v] = forced
-        if check_roots:
-            for nbrs in self.post_checks:
-                if sum(result[u] for u in nbrs) != k:
-                    return None
+                result[v] = forced
         return result
+
+
+def _forced_value(entries: tuple[tuple[int, ...], ...],
+                  known: Mapping[int, int] | list[int], k: int) -> int | None:
+    """The label every child's equation forces on its parent; None on conflict."""
+    forced = None
+    for others in entries:
+        value = k - sum(known[u] for u in others)
+        if forced is None:
+            forced = value
+        elif value != forced:
+            return None
+    return forced
 
 
 def extend_forest(graph: Graph, forest_vertices: Iterable[int],
@@ -363,52 +369,111 @@ def enumerate_boundary_extensions(
     labels: LabelMultiset,
     k: int,
     extra_boundary: Iterable[int] = (),
+    stats: SolveStats | None = None,
 ) -> Iterator[PartialAssignment]:
-    """All label-feasible forced extensions over every boundary assignment.
+    """Forced extensions of boundary labelings that break no known equation.
 
-    Every function from the boundary (optionally widened by extra vertices,
-    e.g. a full feedback vertex set) into the distinct label values is tried;
-    assignments that extend consistently and whose combined label usage stays
-    inside the multiset are yielded in deterministic order.  Restrictions of
-    genuine fair labelings always survive, so the stream is a superset of
-    those.
+    The domain is the boundary, optionally widened by extra vertices outside
+    the forest (e.g. a full feedback vertex set).  Its vertices are labeled
+    in id order with the distinct label values in ascending order, so the
+    stream follows the lexicographic order of the domain labelings.  A
+    labeling is yielded, merged with the forced interior labels, when it
+    extends consistently, the combined labels fit inside the multiset, and
+    every vertex whose whole neighborhood lies in the domain or the forest
+    sees exactly K.  Restrictions of genuine fair labelings always survive.
+
+    Every check runs as soon as its inputs are labeled: a tree is forced at
+    the position of the last domain vertex its forcing steps or its root
+    equation read, and an equation is checked exactly once its last neighbor
+    is labeled, and against the min/max completion of its pending neighbors
+    before that.  `stats.nodes` counts each tried (domain vertex, value)
+    pair with a copy left.
     """
     require_constant(k)
     extender = ForestExtender(graph, forest_vertices)
     domain = sorted(extender.boundary | set(extra_boundary))
+    interior = set(extender.internal)
     for v in domain:
         if not 0 <= v < graph.vertex_count:
             raise InputError(f"boundary vertex {v} out of range")
-    distinct = labels.distinct_values
-    remaining = Counter(labels.counts)
-    chosen: dict[int, int] = {}
+        if v in interior:
+            raise InputError(f"boundary vertex {v} is interior to the forest")
+    if stats is None:
+        stats = SolveStats()
+    adjacency = graph.adjacency
+    known = set(domain) | extender.forest
+    checked = {u for u in range(graph.vertex_count) if known.issuperset(adjacency[u])}
+    if any(not adjacency[u] for u in checked):
+        return  # an isolated vertex sees 0, never the positive K
+    # per labeled vertex, the checked equations its label enters
+    feeds = {v: tuple(u for u in adjacency[v] if u in checked) for v in known}
 
-    def feasible_result() -> PartialAssignment | None:
-        base = {v: chosen[v] for v in extender.boundary}
-        extended = extender.run(base, k, check_domain=False, check_roots=True)
-        if extended is None:
-            return None
-        merged = dict(chosen)
-        merged.update(extended)
-        used = Counter(merged.values())
-        if any(labels.multiplicity(v) < c for v, c in used.items()):
-            return None
-        return merged
+    pos = {v: i for i, v in enumerate(domain)}
+    forcing_at: list[list[ForcingStep]] = [[] for _ in domain]
+    touched_at = [set(feeds[v]) for v in domain]
+    for steps in extender.trees:
+        reads = {u for _, entries in steps for others in entries for u in others}
+        reads.update(adjacency[steps[-1][0]])
+        trigger = max(pos[u] for u in reads if u in pos)
+        forcing_at[trigger].extend(steps)
+        for v, _ in steps:
+            touched_at[trigger].update(feeds[v])
+    checks_at = [tuple(sorted(touched)) for touched in touched_at]
+    order = domain + [v for steps in extender.trees for v, _ in steps]
+
+    distinct = labels.distinct_values
+    low, high = distinct[0], distinct[-1]
+    remaining = Counter(labels.counts)
+    value_of = [0] * graph.vertex_count
+    partial = [0] * graph.vertex_count
+    pending = list(graph.degrees)
+
+    def force(steps: list[ForcingStep]) -> list[int] | None:
+        """Label the vertices the steps force, taking copies; None on failure."""
+        forced = []
+        for v, entries in steps:
+            value = _forced_value(entries, value_of, k)
+            # labels are positive, so no copy is left of a value below 1
+            if value is None or remaining[value] == 0:
+                for u in forced:
+                    remaining[value_of[u]] += 1
+                return None
+            value_of[v] = value
+            remaining[value] -= 1
+            forced.append(v)
+        return forced
 
     def rec(i: int) -> Iterator[PartialAssignment]:
         if i == len(domain):
-            merged = feasible_result()
-            if merged is not None:
-                yield merged
+            yield {v: value_of[v] for v in order}
             return
         v = domain[i]
+        steps, checks = forcing_at[i], checks_at[i]
         for value in distinct:
             if remaining[value] == 0:
                 continue
+            stats.nodes += 1
             remaining[value] -= 1
-            chosen[v] = value
-            yield from rec(i + 1)
-            del chosen[v]
+            value_of[v] = value
+            forced = force(steps) if steps else []
+            if forced is not None:
+                placed = [v, *forced]
+                for w in placed:
+                    for u in feeds[w]:
+                        partial[u] += value_of[w]
+                        pending[u] -= 1
+                # with nothing pending this is the exact check partial == K
+                if all(
+                    partial[u] + pending[u] * low <= k <= partial[u] + pending[u] * high
+                    for u in checks
+                ):
+                    yield from rec(i + 1)
+                for w in placed:
+                    for u in feeds[w]:
+                        partial[u] -= value_of[w]
+                        pending[u] += 1
+                for u in forced:
+                    remaining[value_of[u]] += 1
             remaining[value] += 1
 
     yield from rec(0)

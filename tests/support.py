@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from fairnet import (
     Graph,
@@ -17,6 +18,7 @@ from fairnet import (
     complete_bipartite,
     cycle_graph,
     disjoint_union,
+    extend_forest,
     star_graph,
     verify,
 )
@@ -51,6 +53,43 @@ def brute_force_fair(graph: Graph, labels: LabelMultiset):
     return fair, constants
 
 
+def brute_boundary_extensions(
+    graph: Graph, forest, labels: LabelMultiset, k: int, extra_boundary=()
+) -> list[dict[int, int]]:
+    """The stream enumerate_boundary_extensions must yield, filtered at the leaves.
+
+    Every function from the domain (forest leaves, outside neighbors of the
+    forest, extra vertices) into the distinct values, in lexicographic
+    order, is extended by extend_forest; an extension is kept when its labels
+    fit inside the multiset and every vertex whose whole neighborhood it
+    labels sees exactly k.
+    """
+    forest = frozenset(forest)
+    leaves = {
+        v for v in forest if sum(1 for u in graph.neighbors(v) if u in forest) <= 1
+    }
+    outside = {u for v in forest for u in graph.neighbors(v) if u not in forest}
+    boundary = leaves | outside
+    domain = sorted(boundary | set(extra_boundary))
+    kept = []
+    for values in itertools.product(labels.distinct_values, repeat=len(domain)):
+        chosen = dict(zip(domain, values))
+        extended = extend_forest(graph, forest, {v: chosen[v] for v in boundary}, k)
+        if extended is None:
+            continue
+        merged = {**chosen, **extended}
+        if any(labels.multiplicity(v) < c for v, c in Counter(merged.values()).items()):
+            continue
+        if any(
+            all(u in merged for u in graph.neighbors(v))
+            and sum(merged[u] for u in graph.neighbors(v)) != k
+            for v in range(graph.vertex_count)
+        ):
+            continue
+        kept.append(merged)
+    return kept
+
+
 def _is_acyclic(graph: Graph, removed: frozenset[int]) -> bool:
     kept = [v for v in range(graph.vertex_count) if v not in removed]
     edge_count = 0
@@ -72,6 +111,18 @@ def _is_acyclic(graph: Graph, removed: frozenset[int]) -> bool:
                     seen.add(u)
                     stack.append(u)
     return edge_count // 2 == len(kept) - components
+
+
+def random_induced_forest(rng: random.Random, graph: Graph) -> list[int]:
+    """A maximal induced forest grown in random vertex order."""
+    everything = frozenset(range(graph.vertex_count))
+    forest: set[int] = set()
+    order = list(range(graph.vertex_count))
+    rng.shuffle(order)
+    for v in order:
+        if _is_acyclic(graph, everything - forest - {v}):
+            forest.add(v)
+    return sorted(forest)
 
 
 def brute_min_fvs_size(graph: Graph) -> int:

@@ -137,6 +137,14 @@ class TestSolve:
         main(["solve", str(tmp_path / "c"), "--algo", algo])
         assert f"\nstrategy {algo}\n" in capsys.readouterr().out
 
+    def test_fvs_alpha_delta_counts_nodes(self, tmp_path, capsys):
+        # an unfair search reports the (vertex, value) pairs it tried
+        main(["generate", "circulant", "--n", "10", "--r", "4", "--out", str(tmp_path / "c")])
+        assert main(["solve", str(tmp_path / "c"), "--algo", "fvs-alpha-delta"]) == 1
+        out = capsys.readouterr().out
+        nodes = [int(line.split()[1]) for line in out.splitlines() if line.startswith("nodes ")]
+        assert nodes and nodes[0] > 0
+
     def test_bad_timeout(self, tmp_path, capsys):
         assert main(["solve", put(tmp_path, "c4", C4_TEXT), "--timeout", "-1"]) == 3
         capsys.readouterr()

@@ -7,12 +7,16 @@ from fairnet import (
     InputError,
     LabelMultiset,
     RefusalError,
+    SemiMagicSpec,
     StrategyTag,
+    ThreePartitionInstance,
     complete_bipartite,
     cycle_graph,
     disjoint_union,
     empty_graph,
     fairness_constant_candidates,
+    gen_3partition_k33,
+    gen_semimagic,
     oracle_constants,
     parameter_report,
     path_graph,
@@ -147,6 +151,37 @@ class TestFvsAlphaDelta:
             )
             assert got == reference.fair
             checked += 1
+
+    def test_fixed_k33_instances(self):
+        # fixed benchmark instances on which labeling the whole boundary
+        # before any check takes seconds
+        fair = gen_3partition_k33(
+            ThreePartitionInstance((5, 5, 1, 4, 3, 7, 2, 1, 3, 4, 8, 5), 4)
+        )
+        out = solve_fvs_alpha_delta(fair.graph, fair.labels, 12)
+        assert out.certificate.labels == (1, 3, 8, 1, 4, 7, 2, 5, 5, 3, 4, 5)
+        assert out.certificate.constant == 12
+        unfair = gen_3partition_k33(
+            ThreePartitionInstance((8, 2, 7, 1, 8, 1, 7, 7, 1, 2, 2, 2), 4)
+        )
+        assert not any(
+            solve_fvs_alpha_delta(unfair.graph, unfair.labels, k).fair
+            for k in fairness_constant_candidates(unfair.graph, unfair.labels)
+        )
+
+    def test_semimagic_scale(self):
+        # the node count guards the pruning: labeling the whole boundary
+        # before any check runs past 30 s here
+        instance = gen_semimagic(SemiMagicSpec(3, tuple(range(1, 10))))
+        out = solve_fvs_alpha_delta(instance.graph, instance.labels, 15)
+        assert out.fair
+        assert verify(instance.graph, instance.labels, out.certificate.labels) == 15
+        assert out.stats.nodes == 334
+        for k in fairness_constant_candidates(instance.graph, instance.labels):
+            assert (
+                solve_fvs_alpha_delta(instance.graph, instance.labels, k).fair
+                == solve_vc_alpha(instance.graph, instance.labels, k).fair
+            )
 
 
 class TestVcAlpha:

@@ -7,10 +7,12 @@ from fairnet import (
     Graph,
     InputError,
     LabelMultiset,
+    SolveStats,
     cycle_graph,
     disjoint_union,
     enumerate_boundary_extensions,
     extend_forest,
+    minimum_feedback_vertex_set,
     path_graph,
     solve_cycle,
     solve_disjoint_stars,
@@ -19,7 +21,14 @@ from fairnet import (
     star_graph,
     verify,
 )
-from support import brute_force_fair
+from support import (
+    brute_boundary_extensions,
+    brute_force_fair,
+    constructed_fair,
+    random_graph,
+    random_induced_forest,
+    random_labels,
+)
 
 
 def S(*values):
@@ -223,8 +232,6 @@ class TestForestExtension:
             if not fair or not constants:
                 continue
             k = min(constants)
-            from fairnet import minimum_feedback_vertex_set
-
             fvs = minimum_feedback_vertex_set(g)
             forest = [v for v in range(n) if v not in set(fvs)]
             extensions = list(
@@ -235,3 +242,63 @@ class TestForestExtension:
             for ext in extensions:
                 usage = Counter(ext.values())
                 assert all(labels.multiplicity(v) >= c for v, c in usage.items())
+
+
+class TestBoundaryEnumeration:
+    def test_same_stream_as_leaf_filtering(self):
+        # pruning during the search cuts only leaves the leaf-time filters
+        # reject, so the stream is exactly theirs, in the same order
+        rng = random.Random(41)
+        graphs = streams = 0
+        while graphs < 100:
+            if graphs % 2:
+                g, labels, _, k = constructed_fair(rng, max_n=8)
+                n = g.vertex_count
+            else:
+                n = rng.randint(3, 8)
+                g = random_graph(rng, n, rng.choice((0.3, 0.45, 0.6)))
+                if g.edge_count == 0:
+                    continue
+                labels = random_labels(rng, n, max_value=5, alpha_cap=3)
+                perm = list(labels.values)
+                rng.shuffle(perm)
+                v = rng.choice([v for v in range(n) if g.degree(v) > 0])
+                k = sum(perm[u] for u in g.neighbors(v))
+            graphs += 1
+            fvs = minimum_feedback_vertex_set(g)
+            minimum = [u for u in range(n) if u not in set(fvs)]
+            grown = random_induced_forest(rng, g)
+            outside = [u for u in range(n) if u not in set(grown)]
+            for forest, extra in (
+                (minimum, fvs),
+                (minimum, ()),
+                (grown, outside),
+                (grown, rng.sample(outside, len(outside) // 2)),
+            ):
+                expected = brute_boundary_extensions(g, forest, labels, k, extra)
+                got = list(
+                    enumerate_boundary_extensions(g, forest, labels, k, extra_boundary=extra)
+                )
+                assert got == expected, (g.adjacency, labels.values, k, forest, extra)
+                streams += bool(expected)
+        assert streams >= 100
+
+    def test_counts_tried_pairs(self):
+        # C4 with forest {1, 2, 3}: domain {0, 1, 3}, vertex 2 forced
+        stats = SolveStats()
+        got = list(
+            enumerate_boundary_extensions(
+                cycle_graph(4), [1, 2, 3], S(1, 2, 3, 4), 5, stats=stats
+            )
+        )
+        assert got == [{0: 1, 1: 2, 3: 3, 2: 4}, {0: 1, 1: 3, 3: 2, 2: 4},
+                       {0: 2, 1: 1, 3: 4, 2: 3}, {0: 2, 1: 4, 3: 1, 2: 3},
+                       {0: 3, 1: 1, 3: 4, 2: 2}, {0: 3, 1: 4, 3: 1, 2: 2},
+                       {0: 4, 1: 2, 3: 3, 2: 1}, {0: 4, 1: 3, 3: 2, 2: 1}]
+        # every tried pair with a copy left: 4 + 4*3 + 12*2
+        assert stats.nodes == 40
+
+    def test_rejects_interior_extra_vertex(self):
+        with pytest.raises(InputError):
+            list(enumerate_boundary_extensions(path_graph(3), [0, 1, 2], S(1, 1, 2), 2,
+                                               extra_boundary=[1]))
