@@ -8,16 +8,19 @@ label value per member, so that every group is fully allocated and the label
 supply is used up exactly.  Optional rows fix the label total placed in a set
 of groups.  Variables here are few and tightly bounded, so an exact
 depth-first search over variables in declaration order, with interval
-propagation on every constraint, decides feasibility deterministically and
-returns the smallest-first solution.
+propagation, decides feasibility deterministically and returns the
+smallest-first solution.  Each variable has a coefficient in only a few
+rows, so assigning it propagates on those rows alone; the search order and
+the result are those of re-checking every row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Collection, Hashable, Mapping, Sequence
 
-from .model import InputError
+from .model import FairnetError, InputError
 
 _RELATIONS = ("=", "<=", ">=")
 
@@ -89,71 +92,71 @@ class IpSolution:
         return self.assignment is not None
 
 
+def _window(c: Constraint, rest_lo: int, rest_hi: int) -> tuple[float, float]:
+    """Range a partial sum of `c` may take while the rest can add rest_lo..rest_hi."""
+    return (
+        -math.inf if c.relation == "<=" else c.rhs - rest_hi,
+        math.inf if c.relation == ">=" else c.rhs - rest_lo,
+    )
+
+
 def solve_feasible(program: IntegerProgram) -> IpSolution:
     """Deterministic feasibility search.
 
     Variables are assigned in declaration order, values ascending from the
     lower bound, so the first solution found is the lexicographically
-    smallest.  After each assignment every constraint is pruned against the
-    interval still reachable by its unassigned variables.
+    smallest.  After each assignment the constraints the variable appears in
+    are pruned against the interval still reachable by their unassigned
+    variables.  A zero coefficient leaves a constraint's partial sum and
+    reachable interval as the previous level checked them, so the search
+    visits the same nodes as re-checking every constraint would.
     """
     variables = program.variables
     nvars = len(variables)
-    constraints = program.constraints
 
-    # residual extremes contributed by variables >= index i, per constraint
-    lo_suffix: list[list[int]] = []
-    hi_suffix: list[list[int]] = []
-    for c in constraints:
-        lows = [0] * (nvars + 1)
-        highs = [0] * (nvars + 1)
-        for i in range(nvars - 1, -1, -1):
-            a = c.coefficients[i]
-            v = variables[i]
-            options = (a * v.lower, a * v.upper)
-            lows[i] = lows[i + 1] + min(options)
-            highs[i] = highs[i + 1] + max(options)
-        lo_suffix.append(lows)
-        hi_suffix.append(highs)
+    # per variable i: (constraint, coefficient, low, high) for each nonzero
+    # coefficient, where [low, high] is the window the constraint's partial
+    # sum must stay inside once variables 0..i are fixed
+    rows: list[list[tuple[int, int, float, float]]] = [[] for _ in variables]
+    for ci, c in enumerate(program.constraints):
+        terms = [(i, a) for i, a in enumerate(c.coefficients) if a]
+        rest_lo = rest_hi = 0  # reach of the variables after the current term
+        for i, a in reversed(terms):
+            rows[i].append((ci, a, *_window(c, rest_lo, rest_hi)))
+            ends = (a * variables[i].lower, a * variables[i].upper)
+            rest_lo += min(ends)
+            rest_hi += max(ends)
+        low, high = _window(c, rest_lo, rest_hi)
+        if not low <= 0 <= high:
+            return IpSolution(None)
 
-    def violates(ci: int, fixed: int, idx: int) -> bool:
-        c = constraints[ci]
-        reach_lo = fixed + lo_suffix[ci][idx]
-        reach_hi = fixed + hi_suffix[ci][idx]
-        if c.relation == "=":
-            return reach_lo > c.rhs or reach_hi < c.rhs
-        if c.relation == "<=":
-            return reach_lo > c.rhs
-        return reach_hi < c.rhs
-
-    partial = [0] * len(constraints)
+    partial = [0] * len(program.constraints)
     values = [0] * nvars
 
     def search(idx: int) -> bool:
         if idx == nvars:
             return True
-        var = variables[idx]
-        for x in range(var.lower, var.upper + 1):
-            values[idx] = x
-            ok = True
-            for ci, c in enumerate(constraints):
-                partial[ci] += c.coefficients[idx] * x
-                if ok and violates(ci, partial[ci], idx + 1):
-                    ok = False
-            if ok and search(idx + 1):
-                return True
-            for ci, c in enumerate(constraints):
-                partial[ci] -= c.coefficients[idx] * x
+        touched = rows[idx]
+        for x in range(variables[idx].lower, variables[idx].upper + 1):
+            for ci, a, low, high in touched:
+                if not low <= partial[ci] + a * x <= high:
+                    break
+            else:
+                values[idx] = x
+                for ci, a, _, _ in touched:
+                    partial[ci] += a * x
+                if search(idx + 1):
+                    return True
+                for ci, a, _, _ in touched:
+                    partial[ci] -= a * x
         return False
 
-    for ci in range(len(constraints)):
-        if violates(ci, 0, 0):
-            return IpSolution(None)
-    if search(0):
-        solution = {v.name: x for v, x in zip(variables, values)}
-        assert program.check(solution)
-        return IpSolution(solution)
-    return IpSolution(None)
+    if not search(0):
+        return IpSolution(None)
+    solution = {v.name: x for v, x in zip(variables, values)}
+    if not program.check(solution):
+        raise FairnetError("integer program solution fails its own re-check")
+    return IpSolution(solution)
 
 
 class Allocation:

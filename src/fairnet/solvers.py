@@ -289,6 +289,11 @@ def solve_fvs_alpha_delta(graph: Graph, labels: LabelMultiset, k: int) -> SolveO
     if not rest_vertices:
         return _adopt(stats, solve_disjoint_stars(graph, labels, k))
 
+    if len(rest_vertices) > EXACT_PARAM_LIMIT:
+        raise RefusalError(
+            f"non-star part has {len(rest_vertices)} vertices; exact feedback"
+            f" vertex sets are limited to {EXACT_PARAM_LIMIT}"
+        )
     g1, ids1 = graph.induced(rest_vertices)
     g2, ids2 = graph.induced(star_vertices)
     fvs = minimum_feedback_vertex_set(g1)

@@ -13,7 +13,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable
 
-from .model import Graph, InputError
+from .model import FairnetError, Graph, InputError
 
 
 def connected_components(graph: Graph) -> list[tuple[int, ...]]:
@@ -213,7 +213,8 @@ def _short_cycle(adj: dict[int, set[int]]) -> list[int]:
                             best = cycle
         if best is not None and len(best) == 3:
             break
-    assert best is not None, "no cycle found despite minimum degree >= 2"
+    if best is None:
+        raise FairnetError("no cycle found despite minimum degree >= 2")
     return best
 
 

@@ -13,6 +13,8 @@ from collections import Counter
 
 from fairnet import (
     Graph,
+    IntegerProgram,
+    IpSolution,
     LabelMultiset,
     VACUOUS,
     complete_bipartite,
@@ -253,3 +255,73 @@ def constructed_fair(
         assignment,
         k,
     )
+
+
+# `solve_feasible` as it was before propagation became sparse, copied
+# verbatim: after each assignment it updates and re-checks every constraint.
+# The sparse search must return exactly its results.
+def dense_solve_feasible(program: IntegerProgram) -> IpSolution:
+    """Deterministic feasibility search.
+
+    Variables are assigned in declaration order, values ascending from the
+    lower bound, so the first solution found is the lexicographically
+    smallest.  After each assignment every constraint is pruned against the
+    interval still reachable by its unassigned variables.
+    """
+    variables = program.variables
+    nvars = len(variables)
+    constraints = program.constraints
+
+    # residual extremes contributed by variables >= index i, per constraint
+    lo_suffix: list[list[int]] = []
+    hi_suffix: list[list[int]] = []
+    for c in constraints:
+        lows = [0] * (nvars + 1)
+        highs = [0] * (nvars + 1)
+        for i in range(nvars - 1, -1, -1):
+            a = c.coefficients[i]
+            v = variables[i]
+            options = (a * v.lower, a * v.upper)
+            lows[i] = lows[i + 1] + min(options)
+            highs[i] = highs[i + 1] + max(options)
+        lo_suffix.append(lows)
+        hi_suffix.append(highs)
+
+    def violates(ci: int, fixed: int, idx: int) -> bool:
+        c = constraints[ci]
+        reach_lo = fixed + lo_suffix[ci][idx]
+        reach_hi = fixed + hi_suffix[ci][idx]
+        if c.relation == "=":
+            return reach_lo > c.rhs or reach_hi < c.rhs
+        if c.relation == "<=":
+            return reach_lo > c.rhs
+        return reach_hi < c.rhs
+
+    partial = [0] * len(constraints)
+    values = [0] * nvars
+
+    def search(idx: int) -> bool:
+        if idx == nvars:
+            return True
+        var = variables[idx]
+        for x in range(var.lower, var.upper + 1):
+            values[idx] = x
+            ok = True
+            for ci, c in enumerate(constraints):
+                partial[ci] += c.coefficients[idx] * x
+                if ok and violates(ci, partial[ci], idx + 1):
+                    ok = False
+            if ok and search(idx + 1):
+                return True
+            for ci, c in enumerate(constraints):
+                partial[ci] -= c.coefficients[idx] * x
+        return False
+
+    for ci in range(len(constraints)):
+        if violates(ci, 0, 0):
+            return IpSolution(None)
+    if search(0):
+        solution = {v.name: x for v, x in zip(variables, values)}
+        assert program.check(solution)
+        return IpSolution(solution)
+    return IpSolution(None)

@@ -145,6 +145,16 @@ class TestSolve:
         nodes = [int(line.split()[1]) for line in out.splitlines() if line.startswith("nodes ")]
         assert nodes and nodes[0] > 0
 
+    def test_fvs_alpha_delta_refuses_past_the_exact_limit(self, tmp_path, capsys):
+        # 48 vertices, no star component: exact FVS on them used to run unbounded
+        path = str(tmp_path / "x")
+        main(["generate", "xsat", "--clauses", "0,1,2;0,1,2;0,1,2", "--out", path])
+        assert main(["solve", path, "--algo", "fvs-alpha-delta", "--timeout", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "limited to 32" in err and "timed out" not in err
+        assert main(["solve", path, "--algo", "vc-alpha"]) == 0
+        assert "verdict fair" in capsys.readouterr().out
+
     def test_bad_timeout(self, tmp_path, capsys):
         assert main(["solve", put(tmp_path, "c4", C4_TEXT), "--timeout", "-1"]) == 3
         capsys.readouterr()

@@ -3,8 +3,24 @@ import random
 
 import pytest
 
-from fairnet import Constraint, InputError, IntegerProgram, IntVar, solve_feasible
+from fairnet import (
+    Constraint,
+    FairnetError,
+    InputError,
+    IntegerProgram,
+    IntVar,
+    SemiMagicSpec,
+    fairness_constant_candidates,
+    gen_semimagic,
+    solve_feasible,
+    solve_vc_alpha,
+)
+from fairnet import solvers
 from fairnet.ilp import Allocation
+from support import dense_solve_feasible
+
+# unfair 3x3 grids on which vc-alpha spends most of its time in the ILP
+SEMIMAGIC_ILP_BOUND = ((1, 2, 8, 5, 7, 9, 2, 5, 6), (4, 3, 7, 2, 1, 3, 4, 8, 5))
 
 
 def box_reference(program: IntegerProgram):
@@ -100,6 +116,58 @@ class TestSolve:
             if expected is not None:
                 # identical lexicographically smallest solution
                 assert got.assignment == expected
+
+    def test_failed_recheck_is_an_error(self, monkeypatch):
+        p = IntegerProgram((IntVar("x", 0, 2),), (Constraint((1,), "=", 1),))
+        monkeypatch.setattr(IntegerProgram, "check", lambda self, assignment: False)
+        with pytest.raises(FairnetError):
+            solve_feasible(p)
+
+
+def random_sparse_program(rng: random.Random) -> IntegerProgram:
+    nvars = rng.randint(0, 14)
+    variables = []
+    for i in range(nvars):
+        lo = rng.randint(-2, 3)
+        variables.append(IntVar(f"v{i}", lo, lo + rng.randint(0, 3)))
+    constraints = [
+        Constraint(
+            tuple(0 if rng.random() < 0.7 else rng.randint(-3, 3) for _ in range(nvars)),
+            rng.choice(("=", "<=", ">=")),
+            rng.randint(-6, 12),
+        )
+        for _ in range(rng.randint(0, 8))
+    ]
+    return IntegerProgram(tuple(variables), tuple(constraints))
+
+
+class TestMatchesDenseSearch:
+    def test_random_sparse_programs(self):
+        rng = random.Random(2024)
+        feasible = 0
+        for _ in range(3000):
+            program = random_sparse_program(rng)
+            expected = dense_solve_feasible(program).assignment
+            assert solve_feasible(program).assignment == expected
+            feasible += expected is not None
+        # both outcomes are well represented
+        assert 300 < feasible < 2700
+
+    def test_semimagic_grid_programs(self, monkeypatch):
+        programs = []
+
+        def capture(program):
+            programs.append(program)
+            return solve_feasible(program)
+
+        monkeypatch.setattr(solvers, "solve_feasible", capture)
+        for entries in SEMIMAGIC_ILP_BOUND:
+            instance = gen_semimagic(SemiMagicSpec(3, entries))
+            for k in fairness_constant_candidates(instance.graph, instance.labels):
+                solve_vc_alpha(instance.graph, instance.labels, k)
+        assert len(programs) == 4
+        for program in programs:
+            assert solve_feasible(program).assignment == dense_solve_feasible(program).assignment
 
 
 class TestAllocation:

@@ -358,6 +358,18 @@ class TestAuto:
         with pytest.raises(InputError):
             solve_auto(cycle_graph(3), S(1, 2))
 
+    @pytest.mark.parametrize(
+        "entries, nodes",
+        [((1, 2, 8, 5, 7, 9, 2, 5, 6), 85184), ((4, 3, 7, 2, 1, 3, 4, 8, 5), 65558)],
+    )
+    def test_ilp_bound_semimagic_grids(self, entries, nodes):
+        # unfair grids on which vc-alpha reaches the ILP twice; the counts
+        # pin the search and the number of programs it hands to the ILP
+        instance = gen_semimagic(SemiMagicSpec(3, entries))
+        out = solve_auto(instance.graph, instance.labels)
+        assert not out.fair
+        assert (out.stats.nodes, out.stats.ilp_calls) == (nodes, 2)
+
 
 class TestParameterReport:
     def test_cycle(self):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fairnet import (
+    FairnetError,
     Graph,
     InputError,
     Shape,
@@ -18,6 +19,7 @@ from fairnet import (
     star_graph,
     twin_classes,
 )
+from fairnet.structure import _short_cycle
 from support import brute_min_fvs_size, brute_min_vc_size, random_graph
 
 
@@ -142,6 +144,11 @@ class TestExactFvsVc:
         g = cycle_graph(4)
         assert minimum_feedback_vertex_set(g) == (0,)
         assert minimum_vertex_cover(g) == (0, 2)
+
+    def test_short_cycle_without_a_cycle_is_an_error(self):
+        # raised, not asserted, so it also holds under python -O
+        with pytest.raises(FairnetError):
+            _short_cycle({0: {1}, 1: {0}})
 
     def test_matches_brute_force(self):
         rng = random.Random(23)
