@@ -25,8 +25,8 @@ from .model import (
     LabelMultiset,
     RefusalError,
     SolveOutcome,
-    SolveStats,
-    fairness_constant_candidates,
+    # unused here, but perfbench/tracing.py wraps it under this module
+    fairness_constant_candidates,  # noqa: F401
 )
 from .reductions import (
     SemiMagicSpec,
@@ -40,7 +40,6 @@ from .reductions import (
 )
 from .solvers import (
     SolverChoice,
-    _run_candidates,
     parameter_report,
     solve_auto,
     solve_fvs_alpha_delta,
@@ -92,8 +91,7 @@ def _time_limit(seconds: float | None):
 def run_algorithm(
     algo: str, graph: Graph, labels: LabelMultiset, k: int | None
 ) -> SolveOutcome:
-    """Dispatch one named strategy; iterate candidate constants when the
-    strategy needs a concrete one and none was requested."""
+    """Dispatch one named strategy, looked up in this module at call time."""
     if algo == "auto":
         return solve_auto(graph, labels, k)
     if algo == "oracle":
@@ -103,15 +101,10 @@ def run_algorithm(
     if algo == "regular-fvs":
         return solve_regular_fvs(graph, labels, k)
     if algo == "fvs-alpha-delta":
-        runner = solve_fvs_alpha_delta
-    elif algo == "vc-alpha":
-        runner = solve_vc_alpha
-    else:
-        raise InputError(f"unknown algorithm {algo!r}")
-    if k is not None:
-        return runner(graph, labels, k)
-    candidates = fairness_constant_candidates(graph, labels)
-    return _run_candidates(candidates, SolveStats(), lambda kk: runner(graph, labels, kk))
+        return solve_fvs_alpha_delta(graph, labels, k)
+    if algo == "vc-alpha":
+        return solve_vc_alpha(graph, labels, k)
+    raise InputError(f"unknown algorithm {algo!r}")
 
 
 def _load(path: str) -> Instance:

@@ -157,14 +157,15 @@ def read_instance(text: str) -> Instance:
         seen.add(key)
     graph = Graph.from_edges(vertex_count, edges)
 
-    values: list[int] = []
-    for value in sorted(label_counts):
-        values.extend([value] * label_counts[value])
-    if len(values) != vertex_count:
+    # compare before expanding: a count can be far too large to materialize
+    label_total = sum(label_counts.values())
+    if label_total != vertex_count:
         raise InputError(
-            f"label: multiset has {len(values)} values for {vertex_count} vertices"
+            f"label: multiset has {label_total} values for {vertex_count} vertices"
         )
-    labels = LabelMultiset.from_iterable(values)
+    labels = LabelMultiset.from_iterable(
+        value for value in sorted(label_counts) for _ in range(label_counts[value])
+    )
 
     certificate = None
     certificate_valid = None

@@ -2,9 +2,13 @@
 
 All solvers are exact on their stated domain and report Fair only through a
 re-verified certificate.  Resource limits surface as RefusalError, never as
-a verdict.  The per-constant solvers answer "is there a fair labeling with
-this constant"; the dispatcher supplies candidate constants and the rule
-that a disjoint union is fair only under one shared constant.
+a verdict.  The oracle and the two enumerating strategies (vc-alpha,
+fvs-alpha-delta) each build tables for the one ordered search in
+`search.ordered_search`.  The enumerating strategies set up once per solve
+and then decide a requested constant, or else each candidate constant in
+ascending order until one is fair.  The dispatcher adds the screens, the
+closed forms and the rule that a disjoint union is fair only under one
+shared constant.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable
 
 from .ilp import Allocation, solve_feasible
 from .model import (
@@ -29,6 +33,7 @@ from .model import (
     require_constant,
     timed,
 )
+from .search import SearchTables, ordered_search
 from .special import _solve_cycles, enumerate_boundary_extensions, solve_disjoint_stars
 from .structure import (
     Shape,
@@ -89,7 +94,7 @@ def _vacuous_outcome(labels: LabelMultiset, stats: SolveStats) -> SolveOutcome:
     return SolveOutcome.make_fair(cert, stats)
 
 
-class _OracleSearch:
+def _oracle_tables(graph: Graph) -> SearchTables:
     """Exhaustive search over label assignments, pruned by twin symmetry.
 
     Vertices are labeled in id order, values tried in ascending order, so the
@@ -101,83 +106,18 @@ class _OracleSearch:
     Every vertex whose neighborhood is fully labeled pins the constant;
     partially labeled neighborhoods prune via min/max completions.
     """
-
-    def __init__(self, graph: Graph, labels: LabelMultiset, k: int | None):
-        n = graph.vertex_count
-        part = twin_classes(graph)
-        cap = _oracle_cap()
-        if len(part.classes) > cap:
-            raise RefusalError(
-                f"{len(part.classes)} twin classes exceed the search cap {cap}"
-            )
-        self.graph = graph
-        self.n = n
-        self.k_fixed = k
-        self.distinct = labels.distinct_values
-        self.min_value = self.distinct[0]
-        self.max_value = self.distinct[-1]
-        self.remaining = Counter(labels.counts)
-        self.prev_in_class = [-1] * n
-        self.is_true_twin = [False] * n
-        for cls in part.classes:
-            for v in cls.vertices:
-                self.is_true_twin[v] = cls.true_twin
-            for a, b in zip(cls.vertices, cls.vertices[1:]):
-                self.prev_in_class[b] = a
-        self.assignment: list[int | None] = [None] * n
-        self.partial = [0] * n
-        self.pending = list(graph.degrees)
-
-    def completions(self, stats: SolveStats) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Yield (assignment, constant) for every fair completion found."""
-        yield from self._dfs(0, self.k_fixed, stats)
-
-    def _dfs(self, i: int, k: int | None,
-             stats: SolveStats) -> Iterator[tuple[tuple[int, ...], int]]:
-        if i == self.n:
-            # a graph with an edge always pins k before completion
-            yield tuple(self.assignment), k
-            return
-        prev = self.prev_in_class[i]
-        if prev >= 0 and self.is_true_twin[i]:
-            options: tuple[int, ...] = (self.assignment[prev],)
-        elif prev >= 0:
-            floor = self.assignment[prev]
-            options = tuple(v for v in self.distinct if v >= floor)
-        else:
-            options = self.distinct
-        adj = self.graph.adjacency[i]
-        for value in options:
-            if self.remaining[value] == 0:
-                continue
-            stats.nodes += 1
-            self.remaining[value] -= 1
-            self.assignment[i] = value
-            nxt_k = k
-            ok = True
-            for u in adj:
-                self.partial[u] += value
-                self.pending[u] -= 1
-            for u in adj:
-                total, left = self.partial[u], self.pending[u]
-                if left == 0:
-                    if nxt_k is None:
-                        nxt_k = total
-                    elif total != nxt_k:
-                        ok = False
-                        break
-                elif nxt_k is not None and not (
-                    total + left * self.min_value <= nxt_k <= total + left * self.max_value
-                ):
-                    ok = False
-                    break
-            if ok:
-                yield from self._dfs(i + 1, nxt_k, stats)
-            for u in adj:
-                self.partial[u] -= value
-                self.pending[u] += 1
-            self.remaining[value] += 1
-            self.assignment[i] = None
+    part = twin_classes(graph)
+    cap = _oracle_cap()
+    if len(part.classes) > cap:
+        raise RefusalError(f"{len(part.classes)} twin classes exceed the search cap {cap}")
+    ties: list[tuple[int, bool] | None] = [None] * graph.vertex_count
+    for cls in part.classes:
+        for a, b in zip(cls.vertices, cls.vertices[1:]):
+            ties[b] = (a, cls.true_twin)
+    adjacency = graph.adjacency
+    return SearchTables(
+        tuple(range(graph.vertex_count)), adjacency, graph.degrees, adjacency, ties=ties
+    )
 
 
 @timed
@@ -198,8 +138,7 @@ def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> S
         # an isolated vertex sees 0 while its constrained peers see >= 1
         stats.trace.append("isolated vertex next to constrained vertices")
         return SolveOutcome.make_unfair(stats)
-    search = _OracleSearch(graph, labels, k)
-    for assignment, constant in search.completions(stats):
+    for assignment, constant in ordered_search(_oracle_tables(graph), labels, stats, k):
         return certified_outcome(graph, labels, assignment, constant, stats)
     return SolveOutcome.make_unfair(stats)
 
@@ -214,9 +153,8 @@ def oracle_constants(graph: Graph, labels: LabelMultiset) -> list[int]:
         raise InputError("label multiset size does not match the vertex count")
     if graph.is_edgeless() or graph.min_degree() == 0:
         return []
-    stats = SolveStats()
-    search = _OracleSearch(graph, labels, None)
-    return sorted({constant for _, constant in search.completions(stats)})
+    completions = ordered_search(_oracle_tables(graph), labels, SolveStats())
+    return sorted({constant for _, constant in completions})
 
 
 @timed
@@ -235,11 +173,6 @@ def solve_vc_delta(
     else:
         stats.trace.append("size bound not evaluated (graph too large for exact vc)")
     return _adopt(stats, solve_oracle(graph, labels, k))
-
-
-def _reject_isolated(graph: Graph) -> None:
-    if graph.vertex_count == 0 or graph.min_degree() == 0:
-        raise InputError("solver requires a graph without isolated vertices")
 
 
 def _pendant_screen(graph: Graph, stats: SolveStats) -> bool:
@@ -262,21 +195,22 @@ def _pendant_screen(graph: Graph, stats: SolveStats) -> bool:
 
 
 @timed
-def solve_fvs_alpha_delta(graph: Graph, labels: LabelMultiset, k: int) -> SolveOutcome:
-    """Fixed-constant decision via feedback-vertex-set boundary enumeration.
+def solve_fvs_alpha_delta(
+    graph: Graph, labels: LabelMultiset, k: int | None = None
+) -> SolveOutcome:
+    """Decision via feedback-vertex-set boundary enumeration.
 
     Star components are split off and settled by the counting program; the
     rest is decided by enumerating labels over the feedback set plus the
     forest leaves, forcing all interior forest labels, and keeping exactly
     the assignments that satisfy every equation with leftover labels for the
-    stars.
+    stars.  The split and the feedback set are computed once; the requested
+    constant, or else each candidate in ascending order, is then decided
+    until one is fair.
     """
-    require_constant(k)
-    if len(labels) != graph.vertex_count:
-        raise InputError("label multiset size does not match the vertex count")
-    _reject_isolated(graph)
+    constants = _constants(graph, labels, k)
     stats = SolveStats()
-    if _pendant_screen(graph, stats):
+    if not constants or _pendant_screen(graph, stats):
         return SolveOutcome.make_unfair(stats)
     report = classify(graph)
     star_vertices = [
@@ -287,7 +221,7 @@ def solve_fvs_alpha_delta(graph: Graph, labels: LabelMultiset, k: int) -> SolveO
     ]
     rest_vertices = sorted(set(range(graph.vertex_count)) - set(star_vertices))
     if not rest_vertices:
-        return _adopt(stats, solve_disjoint_stars(graph, labels, k))
+        return _first_fair(constants, stats, lambda k: solve_disjoint_stars(graph, labels, k))
 
     if len(rest_vertices) > EXACT_PARAM_LIMIT:
         raise RefusalError(
@@ -299,125 +233,77 @@ def solve_fvs_alpha_delta(graph: Graph, labels: LabelMultiset, k: int) -> SolveO
     fvs = minimum_feedback_vertex_set(g1)
     forest = [v for v in range(g1.vertex_count) if v not in set(fvs)]
     stats.trace.append(f"fvs size {len(fvs)} on the non-star part")
-    extensions = enumerate_boundary_extensions(
-        g1, forest, labels, k, extra_boundary=fvs, stats=stats
-    )
-    for merged in extensions:
-        star_labels: tuple[int, ...] = ()
-        if g2.vertex_count:
-            residual = labels.minus(LabelMultiset.from_iterable(merged.values()))
-            sub = _adopt(stats, solve_disjoint_stars(g2, residual, k))
-            if not sub.fair:
-                continue
-            star_labels = sub.certificate.labels
-        assignment = [0] * graph.vertex_count
-        for local, value in merged.items():
-            assignment[ids1[local]] = value
-        for local, value in enumerate(star_labels):
-            assignment[ids2[local]] = value
-        return certified_outcome(graph, labels, assignment, k, stats)
-    return SolveOutcome.make_unfair(stats)
 
-
-class _CoverEnumeration:
-    """DFS over cover labelings with equation-aware pruning.
-
-    Precomputes, per cover position, which independent-class equations become
-    fully determined and which cover vertices have just seen their last
-    cover-side neighbor labeled; both trigger checks against the target
-    constant as early as possible.
-    """
-
-    def __init__(self, graph: Graph, labels: LabelMultiset, k: int,
-                 cover: tuple[int, ...], class_list: list[tuple[tuple[int, ...], list[int]]]):
-        self.k = k
-        self.labels = labels
-        self.cover = cover
-        pos_of = {v: i for i, v in enumerate(cover)}
-        cover_set = set(cover)
-        self.min_value = labels.distinct_values[0]
-        self.max_value = labels.distinct_values[-1]
-
-        # class equations: all of D_i assigned once its last member is placed
-        self.class_checks: list[list[tuple[int, ...]]] = [[] for _ in cover]
-        self.static_failure = False
-        for nbrs, _members in class_list:
-            trigger = max(pos_of[u] for u in nbrs)
-            self.class_checks[trigger].append(nbrs)
-
-        # residual interval per cover vertex once its cover-side sum is known
-        self.residual_checks: list[list[tuple[tuple[int, ...], int]]] = [
-            [] for _ in cover
-        ]
-        for v in cover:
-            cover_nbrs = tuple(u for u in graph.adjacency[v] if u in cover_set)
-            indep_count = graph.degree(v) - len(cover_nbrs)
-            if cover_nbrs:
-                trigger = max(pos_of[u] for u in cover_nbrs)
-                self.residual_checks[trigger].append((cover_nbrs, indep_count))
-            else:
-                if not self._residual_ok(k, indep_count):
-                    self.static_failure = True
-
-    def _residual_ok(self, residual: int, indep_count: int) -> bool:
-        if indep_count == 0:
-            return residual == 0
-        return (
-            indep_count * self.min_value <= residual <= indep_count * self.max_value
+    def decide(k: int) -> SolveOutcome:
+        sub = SolveStats()
+        extensions = enumerate_boundary_extensions(
+            g1, forest, labels, k, extra_boundary=fvs, stats=sub
         )
-
-    def assignments(self, stats: SolveStats) -> Iterator[dict[int, int]]:
-        if self.static_failure:
-            return
-        remaining = Counter(self.labels.counts)
-        chosen: dict[int, int] = {}
-
-        def ok_at(pos: int) -> bool:
-            for nbrs in self.class_checks[pos]:
-                if sum(chosen[u] for u in nbrs) != self.k:
-                    return False
-            for cover_nbrs, indep_count in self.residual_checks[pos]:
-                residual = self.k - sum(chosen[u] for u in cover_nbrs)
-                if not self._residual_ok(residual, indep_count):
-                    return False
-            return True
-
-        def rec(pos: int) -> Iterator[dict[int, int]]:
-            if pos == len(self.cover):
-                yield dict(chosen)
-                return
-            v = self.cover[pos]
-            for value in self.labels.distinct_values:
-                if remaining[value] == 0:
+        for merged in extensions:
+            star_labels: tuple[int, ...] = ()
+            if g2.vertex_count:
+                residual = labels.minus(LabelMultiset.from_iterable(merged.values()))
+                stars = _adopt(sub, solve_disjoint_stars(g2, residual, k))
+                if not stars.fair:
                     continue
-                stats.nodes += 1
-                remaining[value] -= 1
-                chosen[v] = value
-                if ok_at(pos):
-                    yield from rec(pos + 1)
-                del chosen[v]
-                remaining[value] += 1
+                star_labels = stars.certificate.labels
+            assignment = [0] * graph.vertex_count
+            for local, value in merged.items():
+                assignment[ids1[local]] = value
+            for local, value in enumerate(star_labels):
+                assignment[ids2[local]] = value
+            return certified_outcome(graph, labels, assignment, k, sub)
+        return SolveOutcome.make_unfair(sub)
 
-        yield from rec(0)
+    return _first_fair(constants, stats, decide)
+
+
+def _cover_tables(graph: Graph, cover: tuple[int, ...],
+                  equations: list[tuple[tuple[int, ...], int]]) -> SearchTables:
+    """Cover labelings checking each (cover inputs, pending) equation once.
+
+    An equation is checked when its last cover input is labeled (exactly
+    when nothing is pending), and before the search when it has none.
+    """
+    pos_of = {v: i for i, v in enumerate(cover)}
+    feeds: list[list[int]] = [[] for _ in range(graph.vertex_count)]
+    checks_at: list[list[int]] = [[] for _ in cover]
+    root_checks = []
+    for eq, (inputs, _pending) in enumerate(equations):
+        for u in inputs:
+            feeds[u].append(eq)
+        if inputs:
+            checks_at[max(pos_of[u] for u in inputs)].append(eq)
+        else:
+            root_checks.append(eq)
+    return SearchTables(
+        cover, feeds, [pending for _inputs, pending in equations], checks_at,
+        root_checks=tuple(root_checks),
+    )
 
 
 @timed
-def solve_vc_alpha(graph: Graph, labels: LabelMultiset, k: int) -> SolveOutcome:
-    """Fixed-constant decision via vertex-cover labeling plus a counting program.
+def solve_vc_alpha(
+    graph: Graph, labels: LabelMultiset, k: int | None = None
+) -> SolveOutcome:
+    """Decision via vertex-cover labeling plus a counting program.
 
     Enumerates labelings of a minimum vertex cover.  Vertices outside the
     cover form an independent set, so each one's equation reads entirely off
     the cover labels and is checked during enumeration, grouped by identical
-    neighborhoods.  What remains per cover labeling is how many vertices of
-    each class take each distinct value: class sizes, leftover multiplicities
-    and the cover equations (cover-side adjacency contributes its fixed sum)
-    form an integer feasibility program.
+    neighborhoods; each cover vertex's equation is checked once its
+    cover-side neighbors are labeled, its independent neighbors pending.
+    What remains per cover labeling is how many vertices of each class take
+    each distinct value: class sizes, leftover multiplicities and the cover
+    equations (cover-side adjacency contributes its fixed sum) form an
+    integer feasibility program.  The cover, classes, program builder and
+    search tables are set up once; the requested constant, or else each
+    candidate in ascending order, is then decided until one is fair.
     """
-    require_constant(k)
-    if len(labels) != graph.vertex_count:
-        raise InputError("label multiset size does not match the vertex count")
-    _reject_isolated(graph)
+    constants = _constants(graph, labels, k)
     stats = SolveStats()
+    if not constants:
+        return SolveOutcome.make_unfair(stats)
     cover = minimum_vertex_cover(graph)
     cover_set = set(cover)
     stats.trace.append(f"vertex cover size {len(cover)}")
@@ -427,37 +313,43 @@ def solve_vc_alpha(graph: Graph, labels: LabelMultiset, k: int) -> SolveOutcome:
         if v not in cover_set:
             groups.setdefault(graph.adjacency[v], []).append(v)
     class_list = sorted(groups.items(), key=lambda item: item[1][0])
+    cover_sides = [tuple(u for u in graph.adjacency[v] if u in cover_set) for v in cover]
     # per cover vertex with independent neighbors: those classes, and the
     # cover-side neighbors whose labels leave the rest of its constant
     cover_rows = []
-    for v in cover:
+    for v, side in zip(cover, cover_sides):
         adjacent = [i for i, (nbrs, _members) in enumerate(class_list) if v in nbrs]
         if adjacent:
-            cover_rows.append(
-                (adjacent, tuple(u for u in graph.adjacency[v] if u in cover_set))
-            )
+            cover_rows.append((adjacent, side))
     one_each = {value: {value: 1} for value in labels.distinct_values}
     allocation = Allocation(
         [(len(members), one_each) for _nbrs, members in class_list],
         [adjacent for adjacent, _ in cover_rows],
     )
+    tables = _cover_tables(
+        graph,
+        cover,
+        [(nbrs, len(nbrs)) for nbrs, _members in class_list]
+        + [(side, graph.degree(v)) for v, side in zip(cover, cover_sides)],
+    )
 
-    enumeration = _CoverEnumeration(graph, labels, k, cover, class_list)
-    for g_map in enumeration.assignments(stats):
-        remaining = labels.counts - Counter(g_map.values())
-        totals = [k - sum(g_map[u] for u in nbrs) for _, nbrs in cover_rows]
-        stats.ilp_calls += 1
-        solution = solve_feasible(allocation.program(remaining, totals))
-        if not solution.feasible:
-            continue
-        assignment = [0] * graph.vertex_count
-        for v, value in g_map.items():
-            assignment[v] = value
-        for (_nbrs, members), fill in zip(class_list, allocation.decode(solution)):
-            for v, value in zip(members, fill):
-                assignment[v] = value
-        return certified_outcome(graph, labels, assignment, k, stats)
-    return SolveOutcome.make_unfair(stats)
+    def decide(k: int) -> SolveOutcome:
+        sub = SolveStats()
+        for values, _ in ordered_search(tables, labels, sub, k):
+            remaining = labels.counts - Counter(values[v] for v in cover)
+            totals = [k - sum(values[u] for u in side) for _, side in cover_rows]
+            sub.ilp_calls += 1
+            solution = solve_feasible(allocation.program(remaining, totals))
+            if not solution.feasible:
+                continue
+            assignment = list(values)
+            for (_nbrs, members), fill in zip(class_list, allocation.decode(solution)):
+                for v, value in zip(members, fill):
+                    assignment[v] = value
+            return certified_outcome(graph, labels, assignment, k, sub)
+        return SolveOutcome.make_unfair(sub)
+
+    return _first_fair(constants, stats, decide)
 
 
 @timed
@@ -626,11 +518,33 @@ def _adopt(stats: SolveStats, sub: SolveOutcome) -> SolveOutcome:
     return SolveOutcome(sub.verdict, sub.certificate, stats)
 
 
-def _run_candidates(candidates: list[int], stats: SolveStats,
-                    run: Callable[[int], SolveOutcome]) -> SolveOutcome:
-    """The first fair outcome over the candidates, else unfair, under `stats`."""
-    for k in candidates:
-        outcome = _adopt(stats, run(k))
+def _candidates(graph: Graph, labels: LabelMultiset, k: int | None = None) -> list[int]:
+    """Candidate constants minus those no regular component can realize,
+    narrowed to k when one is requested."""
+    candidates = _component_constant_filter(
+        graph, labels, fairness_constant_candidates(graph, labels)
+    )
+    if k is None:
+        return candidates
+    return [k] if k in candidates else []
+
+
+def _constants(graph: Graph, labels: LabelMultiset, k: int | None) -> list[int]:
+    """What a per-constant strategy decides: k itself, or else every candidate."""
+    if k is not None:
+        require_constant(k)
+    if len(labels) != graph.vertex_count:
+        raise InputError("label multiset size does not match the vertex count")
+    if graph.vertex_count == 0 or graph.min_degree() == 0:
+        raise InputError("solver requires a graph without isolated vertices")
+    return [k] if k is not None else _candidates(graph, labels)
+
+
+def _first_fair(constants: list[int], stats: SolveStats,
+                decide: Callable[[int], SolveOutcome]) -> SolveOutcome:
+    """The first fair outcome over the constants, else unfair, under `stats`."""
+    for k in constants:
+        outcome = _adopt(stats, decide(k))
         stats.trace.append(f"k={k}: {outcome.verdict.value}")
         if outcome.fair:
             return outcome
@@ -654,11 +568,6 @@ def solve_auto(
     if k is not None:
         require_constant(k)
 
-    def narrowed(cands: list[int]) -> list[int]:
-        if k is None:
-            return cands
-        return [k] if k in cands else []
-
     stats = SolveStats()
     report = classify(graph)
 
@@ -672,26 +581,16 @@ def solve_auto(
         return SolveOutcome.make_unfair(stats)
 
     if report.shape is Shape.DISJOINT_STARS:
-        candidates = narrowed(
-            _component_constant_filter(
-                graph, labels, fairness_constant_candidates(graph, labels)
-            )
-        )
+        candidates = _candidates(graph, labels, k)
         stats.trace.append(f"disjoint stars; candidates {candidates}")
-        return _run_candidates(
-            candidates, stats, lambda k: solve_disjoint_stars(graph, labels, k)
-        )
+        return _first_fair(candidates, stats, lambda k: solve_disjoint_stars(graph, labels, k))
 
     r = report.regular_degree
     if r is not None and r >= 1:
         stats.trace.append(f"regular graph of degree {r}")
         return _adopt(stats, solve_regular_fvs(graph, labels, k))
 
-    candidates = narrowed(
-        _component_constant_filter(
-            graph, labels, fairness_constant_candidates(graph, labels)
-        )
-    )
+    candidates = _candidates(graph, labels, k)
     stats.trace.append(f"candidates {candidates}")
     if not candidates:
         return SolveOutcome.make_unfair(stats)
@@ -711,4 +610,4 @@ def solve_auto(
     runner = (
         solve_vc_alpha if plan.tag is StrategyTag.VC_ALPHA else solve_fvs_alpha_delta
     )
-    return _run_candidates(candidates, stats, lambda k: runner(graph, labels, k))
+    return _adopt(stats, runner(graph, labels, k))

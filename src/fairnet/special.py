@@ -43,11 +43,10 @@ from .model import (
     require_constant,
     timed,
 )
+from .search import ForcingStep, SearchTables, _forced_value, ordered_search
 from .structure import connected_components
 
 PartialAssignment = dict[int, int]
-# an internal forest vertex and, per child w, the neighbors of w but the vertex
-ForcingStep = tuple[int, tuple[tuple[int, ...], ...]]
 
 
 @timed
@@ -337,19 +336,6 @@ class ForestExtender:
         return result
 
 
-def _forced_value(entries: tuple[tuple[int, ...], ...],
-                  known: Mapping[int, int] | list[int], k: int) -> int | None:
-    """The label every child's equation forces on its parent; None on conflict."""
-    forced = None
-    for others in entries:
-        value = k - sum(known[u] for u in others)
-        if forced is None:
-            forced = value
-        elif value != forced:
-            return None
-    return forced
-
-
 def extend_forest(graph: Graph, forest_vertices: Iterable[int],
                   boundary_labels: Mapping[int, int], k: int) -> PartialAssignment | None:
     """Force the internal labels of an induced forest from its boundary.
@@ -398,16 +384,14 @@ def enumerate_boundary_extensions(
             raise InputError(f"boundary vertex {v} out of range")
         if v in interior:
             raise InputError(f"boundary vertex {v} is interior to the forest")
-    if stats is None:
-        stats = SolveStats()
     adjacency = graph.adjacency
     known = set(domain) | extender.forest
     checked = {u for u in range(graph.vertex_count) if known.issuperset(adjacency[u])}
-    if any(not adjacency[u] for u in checked):
-        return  # an isolated vertex sees 0, never the positive K
     # per labeled vertex, the checked equations its label enters
-    feeds = {v: tuple(u for u in adjacency[v] if u in checked) for v in known}
-
+    feeds = [
+        tuple(u for u in adjacency[v] if u in checked) if v in known else ()
+        for v in range(graph.vertex_count)
+    ]
     pos = {v: i for i, v in enumerate(domain)}
     forcing_at: list[list[ForcingStep]] = [[] for _ in domain]
     touched_at = [set(feeds[v]) for v in domain]
@@ -418,62 +402,15 @@ def enumerate_boundary_extensions(
         forcing_at[trigger].extend(steps)
         for v, _ in steps:
             touched_at[trigger].update(feeds[v])
-    checks_at = [tuple(sorted(touched)) for touched in touched_at]
+    tables = SearchTables(
+        tuple(domain),
+        feeds,
+        graph.degrees,
+        [tuple(sorted(touched)) for touched in touched_at],
+        forcing_at=forcing_at,
+        # an isolated vertex sees 0, never the positive K
+        root_checks=tuple(u for u in sorted(checked) if not adjacency[u]),
+    )
     order = domain + [v for steps in extender.trees for v, _ in steps]
-
-    distinct = labels.distinct_values
-    low, high = distinct[0], distinct[-1]
-    remaining = Counter(labels.counts)
-    value_of = [0] * graph.vertex_count
-    partial = [0] * graph.vertex_count
-    pending = list(graph.degrees)
-
-    def force(steps: list[ForcingStep]) -> list[int] | None:
-        """Label the vertices the steps force, taking copies; None on failure."""
-        forced = []
-        for v, entries in steps:
-            value = _forced_value(entries, value_of, k)
-            # labels are positive, so no copy is left of a value below 1
-            if value is None or remaining[value] == 0:
-                for u in forced:
-                    remaining[value_of[u]] += 1
-                return None
-            value_of[v] = value
-            remaining[value] -= 1
-            forced.append(v)
-        return forced
-
-    def rec(i: int) -> Iterator[PartialAssignment]:
-        if i == len(domain):
-            yield {v: value_of[v] for v in order}
-            return
-        v = domain[i]
-        steps, checks = forcing_at[i], checks_at[i]
-        for value in distinct:
-            if remaining[value] == 0:
-                continue
-            stats.nodes += 1
-            remaining[value] -= 1
-            value_of[v] = value
-            forced = force(steps) if steps else []
-            if forced is not None:
-                placed = [v, *forced]
-                for w in placed:
-                    for u in feeds[w]:
-                        partial[u] += value_of[w]
-                        pending[u] -= 1
-                # with nothing pending this is the exact check partial == K
-                if all(
-                    partial[u] + pending[u] * low <= k <= partial[u] + pending[u] * high
-                    for u in checks
-                ):
-                    yield from rec(i + 1)
-                for w in placed:
-                    for u in feeds[w]:
-                        partial[u] -= value_of[w]
-                        pending[u] += 1
-                for u in forced:
-                    remaining[value_of[u]] += 1
-            remaining[value] += 1
-
-    yield from rec(0)
+    for values, _ in ordered_search(tables, labels, stats or SolveStats(), k):
+        yield {v: values[v] for v in order}

@@ -155,6 +155,29 @@ class TestSolve:
         assert main(["solve", path, "--algo", "vc-alpha"]) == 0
         assert "verdict fair" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "algo, setup_line",
+        [
+            ("auto", "trace vertex cover size 6"),
+            ("vc-alpha", "trace vertex cover size 6"),
+            ("fvs-alpha-delta", "trace fvs size"),
+        ],
+    )
+    def test_setup_runs_once_per_solve(self, tmp_path, capsys, algo, setup_line):
+        # 26 candidate constants, one cover or feedback set computed and traced
+        path = str(tmp_path / "grid")
+        main(["generate", "semimagic", "--entries", "1,2,8,5,7,9,2,5,6", "--out", path])
+        capsys.readouterr()
+        assert main(["solve", path, "--algo", algo]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith(setup_line) for line in lines) == 1
+        assert sum(line.startswith("trace k=") for line in lines) == 26
+
+    def test_huge_label_count_is_an_input_error(self, tmp_path, capsys):
+        path = put(tmp_path, "huge", "fairnet v1\nvertices 4\nlabel 1 1000000000000\n")
+        assert main(["solve", path]) == 3
+        assert "1000000000000 values for 4 vertices" in capsys.readouterr().err
+
     def test_bad_timeout(self, tmp_path, capsys):
         assert main(["solve", put(tmp_path, "c4", C4_TEXT), "--timeout", "-1"]) == 3
         capsys.readouterr()
@@ -317,6 +340,35 @@ class TestBench:
         assert main(["bench", corpus, "--algos", "auto,psychic"]) == 3
         assert main(["bench", corpus, "--algos", ""]) == 3
         capsys.readouterr()
+
+
+class TestRunAlgorithm:
+    @pytest.mark.parametrize(
+        "algo, name",
+        [
+            ("auto", "solve_auto"),
+            ("oracle", "solve_oracle"),
+            ("fvs-alpha-delta", "solve_fvs_alpha_delta"),
+            ("vc-alpha", "solve_vc_alpha"),
+            ("regular-fvs", "solve_regular_fvs"),
+            ("vc-delta", "solve_vc_delta"),
+        ],
+    )
+    def test_strategy_looked_up_at_call_time(self, monkeypatch, algo, name):
+        # outside-in tracers (perfbench/tracing.py) swap these module attributes
+        import fairnet.cli as cli_mod
+
+        calls = []
+        real = getattr(cli_mod, name)
+
+        def spy(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(cli_mod, name, spy)
+        instance = cli_mod.read_instance(C4_TEXT)
+        out = cli_mod.run_algorithm(algo, instance.graph, instance.labels, None)
+        assert out.fair and calls == [None]
 
 
 class TestInternalErrors:

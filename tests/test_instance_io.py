@@ -134,6 +134,13 @@ class TestErrors:
         )
         self.assert_rejects("fairnet v1\nvertices 2\nlabel 5 1\n", "2 vertices")
 
+    def test_label_count_checked_before_expanding(self):
+        # expanding this count first would need terabytes
+        self.assert_rejects(
+            "fairnet v1\nvertices 4\nlabel 1 1000000000000\n",
+            "1000000000000 values for 4 vertices",
+        )
+
     def test_k(self):
         base = "fairnet v1\nvertices 1\nlabel 1 1\n"
         self.assert_rejects(base + "k 0\n", "positive")

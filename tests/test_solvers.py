@@ -16,6 +16,7 @@ from fairnet import (
     empty_graph,
     fairness_constant_candidates,
     gen_3partition_k33,
+    gen_circulant,
     gen_semimagic,
     oracle_constants,
     parameter_report,
@@ -29,7 +30,15 @@ from fairnet import (
     star_graph,
     verify,
 )
-from support import brute_force_fair, random_instance
+from fairnet.cli import run_algorithm
+from fairnet.solvers import _candidates
+from support import (
+    brute_force_fair,
+    constructed_fair,
+    random_graph,
+    random_instance,
+    random_labels,
+)
 
 
 def S(*values):
@@ -393,3 +402,61 @@ class TestParameterReport:
         g = cycle_graph(n)
         choice = parameter_report(g, S(*([2] * n)))
         assert choice.fvs is None and choice.vc is None
+
+
+class TestEnumerators:
+    @pytest.mark.parametrize(
+        "family, algo, pinned",
+        [
+            ("circulant", "oracle", (False, None, 165034, 0)),
+            ("circulant", "vc-alpha", (False, None, 74436, 116)),
+            ("circulant", "fvs-alpha-delta", (False, None, 84012, 0)),
+            ("3part-k33", "oracle", (True, (1, 3, 5, 2, 3, 4), 42, 0)),
+            ("3part-k33", "vc-alpha", (True, (1, 3, 5, 2, 3, 4), 10, 1)),
+            ("3part-k33", "fvs-alpha-delta", (True, (1, 3, 5, 2, 3, 4), 6, 0)),
+        ],
+    )
+    def test_outputs_pinned(self, family, algo, pinned):
+        # the three searches share one kernel; these counts pin its pruning
+        if family == "circulant":
+            graph, labels = gen_circulant(10, 4), S(*range(1, 11))
+        else:
+            made = gen_3partition_k33(ThreePartitionInstance((4, 3, 2, 5, 1, 3), 2))
+            graph, labels = made.graph, made.labels
+        out = run_algorithm(algo, graph, labels, None)
+        cert = out.certificate
+        assert (out.fair, cert and cert.labels, out.stats.nodes, out.stats.ilp_calls) == pinned
+        if out.fair:
+            assert cert.constant == 9
+
+    @pytest.mark.parametrize("solver", [solve_vc_alpha, solve_fvs_alpha_delta])
+    def test_one_pass_matches_per_constant_calls(self, solver):
+        # one setup over the candidates decides as the per-constant loop does
+        rng = random.Random(211)
+        checked = 0
+        while checked < 45:
+            if checked % 3 == 0:
+                graph, labels, _, _ = constructed_fair(rng, max_n=8)
+            elif checked % 3 == 1:
+                n = rng.randint(4, 8)
+                graph, labels = random_graph(rng, n, 0.5), random_labels(rng, n, 9)
+            else:
+                entries = tuple(rng.randint(1, 3) for _ in range(9))
+                made = gen_semimagic(SemiMagicSpec(3, entries))
+                graph, labels = made.graph, made.labels
+            if graph.min_degree() == 0:
+                continue
+            whole = solver(graph, labels)
+            nodes = ilp_calls = 0
+            first = None
+            for k in _candidates(graph, labels):
+                out = solver(graph, labels, k)
+                nodes += out.stats.nodes
+                ilp_calls += out.stats.ilp_calls
+                if out.fair:
+                    first = out.certificate
+                    break
+            assert whole.fair == (first is not None)
+            assert whole.certificate == first
+            assert (whole.stats.nodes, whole.stats.ilp_calls) == (nodes, ilp_calls)
+            checked += 1
