@@ -350,6 +350,9 @@ def main(argv=None) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except MemoryError:
+        print("refused: out of memory", file=sys.stderr)
+        return EXIT_REFUSED
     except FairnetError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -155,14 +155,13 @@ def read_instance(text: str) -> Instance:
         if key in seen:
             raise InputError(f"line {lineno}: duplicate edge {key[0]} {key[1]}")
         seen.add(key)
-    graph = Graph.from_edges(vertex_count, edges)
-
-    # compare before expanding: a count can be far too large to materialize
+    # compare before building the graph: a count can be far too large to materialize
     label_total = sum(label_counts.values())
     if label_total != vertex_count:
         raise InputError(
             f"label: multiset has {label_total} values for {vertex_count} vertices"
         )
+    graph = Graph.from_edges(vertex_count, edges)
     labels = LabelMultiset.from_iterable(
         value for value in sorted(label_counts) for _ in range(label_counts[value])
     )

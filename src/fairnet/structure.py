@@ -4,6 +4,12 @@ The feedback-vertex-set and vertex-cover routines are exact branch-and-bound
 searches meant for the small instances this package targets.  Both return the
 lexicographically smallest minimum solution (compared as sorted id tuples) so
 downstream enumeration stays deterministic.
+
+Each branch is cut by a lower bound: for FVS the fewest vertex degrees whose
+(degree - 1) values cover the cyclomatic number m - n + c, for VC the size of
+a greedy maximal matching.  A bound only cuts branches that cannot succeed,
+so the sizes, and the tie-breaking of the greedy reconstruction that follows,
+are those of the unbounded search.
 """
 
 from __future__ import annotations
@@ -218,11 +224,41 @@ def _short_cycle(adj: dict[int, set[int]]) -> list[int]:
     return best
 
 
+def _cycle_rank_bound(adj: dict[int, set[int]]) -> int:
+    """A lower bound on the feedback vertex set number.
+
+    The cyclomatic number m - n + c is 0 exactly on forests.  Deleting a
+    vertex of degree d lowers it by at most d - 1, and degrees only fall as
+    vertices go, so no set smaller than the fewest largest (d - 1) values
+    summing to it can be a feedback vertex set.
+    """
+    degrees = sorted([len(nbrs) for nbrs in adj.values()], reverse=True)
+    rank = sum(degrees) // 2 - len(degrees)
+    seen: set[int] = set()
+    for start in adj:
+        if start not in seen:
+            rank += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                for u in adj[stack.pop()]:
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+    bound = 0
+    for degree in degrees:
+        if rank <= 0:
+            break
+        rank -= degree - 1
+        bound += 1
+    return bound
+
+
 def _has_fvs(adj: dict[int, set[int]], budget: int) -> bool:
     _prune_degree_le1(adj)
     if not adj:
         return True
-    if budget == 0:
+    if budget < _cycle_rank_bound(adj):
         return False
     cycle = _short_cycle(adj)
     for v in cycle:
@@ -241,18 +277,36 @@ def minimum_feedback_vertex_set(graph: Graph) -> tuple[int, ...]:
     while not _has_fvs({v: set(nbrs) for v, nbrs in base.items()}, size):
         size += 1
     chosen: list[int] = []
-    work = {v: set(nbrs) for v, nbrs in base.items()}
+    work = base
+    _prune_degree_le1(work)
     budget = size
     for v in range(graph.vertex_count):
         if budget == 0:
             break
+        if v not in work:
+            # outside the 2-core, so on no cycle: dropping it cannot help
+            continue
         trial = {w: set(nbrs) for w, nbrs in work.items()}
         _drop_vertex(trial, v)
-        if _has_fvs({w: set(nbrs) for w, nbrs in trial.items()}, budget - 1):
+        # the check prunes `trial` to its 2-core, the next work graph
+        if _has_fvs(trial, budget - 1):
             chosen.append(v)
             work = trial
             budget -= 1
     return tuple(chosen)
+
+
+def _matching_bound(adj: dict[int, set[int]]) -> int:
+    """Edges of a greedy maximal matching: a vertex cover takes an end of each."""
+    matched: set[int] = set()
+    for v, nbrs in adj.items():
+        if v not in matched:
+            for u in nbrs:
+                if u not in matched:
+                    matched.add(u)
+                    matched.add(v)
+                    break
+    return len(matched) // 2
 
 
 def _has_vc(adj: dict[int, set[int]], budget: int) -> bool:
@@ -271,7 +325,7 @@ def _has_vc(adj: dict[int, set[int]], budget: int) -> bool:
         budget -= 1
     if not adj:
         return True
-    if budget == 0:
+    if budget < _matching_bound(adj):
         return False
     v = min(adj, key=lambda w: (-len(adj[w]), w))
     take = {w: set(nbrs) for w, nbrs in adj.items()}

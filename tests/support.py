@@ -24,6 +24,12 @@ from fairnet import (
     star_graph,
     verify,
 )
+from fairnet.structure import (
+    _adjacency_map,
+    _drop_vertex,
+    _prune_degree_le1,
+    _short_cycle,
+)
 
 BRUTE_N_LIMIT = 8
 
@@ -325,3 +331,97 @@ def dense_solve_feasible(program: IntegerProgram) -> IpSolution:
         assert program.check(solution)
         return IpSolution(solution)
     return IpSolution(None)
+
+
+# The exact FVS and VC searches as they were before the cyclomatic and
+# matching lower bounds, copied verbatim (only renamed, without the cache).
+# The bounded searches must return exactly their tuples.
+def unbounded_has_fvs(adj: dict[int, set[int]], budget: int) -> bool:
+    _prune_degree_le1(adj)
+    if not adj:
+        return True
+    if budget == 0:
+        return False
+    cycle = _short_cycle(adj)
+    for v in cycle:
+        copy = {w: set(nbrs) for w, nbrs in adj.items()}
+        _drop_vertex(copy, v)
+        if unbounded_has_fvs(copy, budget - 1):
+            return True
+    return False
+
+
+def unbounded_minimum_feedback_vertex_set(graph: Graph) -> tuple[int, ...]:
+    """Exact minimum feedback vertex set, lexicographically smallest on ties."""
+    base = _adjacency_map(graph)
+    size = 0
+    while not unbounded_has_fvs({v: set(nbrs) for v, nbrs in base.items()}, size):
+        size += 1
+    chosen: list[int] = []
+    work = {v: set(nbrs) for v, nbrs in base.items()}
+    budget = size
+    for v in range(graph.vertex_count):
+        if budget == 0:
+            break
+        trial = {w: set(nbrs) for w, nbrs in work.items()}
+        _drop_vertex(trial, v)
+        if unbounded_has_fvs({w: set(nbrs) for w, nbrs in trial.items()}, budget - 1):
+            chosen.append(v)
+            work = trial
+            budget -= 1
+    return tuple(chosen)
+
+
+def unbounded_has_vc(adj: dict[int, set[int]], budget: int) -> bool:
+    while True:
+        isolated = [v for v, nbrs in adj.items() if not nbrs]
+        for v in isolated:
+            del adj[v]
+        pendant = next((v for v, nbrs in adj.items() if len(nbrs) == 1), None)
+        if pendant is None:
+            break
+        # the pendant's neighbor dominates it, take that neighbor
+        if budget == 0:
+            return False
+        u = next(iter(adj[pendant]))
+        _drop_vertex(adj, u)
+        budget -= 1
+    if not adj:
+        return True
+    if budget == 0:
+        return False
+    v = min(adj, key=lambda w: (-len(adj[w]), w))
+    take = {w: set(nbrs) for w, nbrs in adj.items()}
+    _drop_vertex(take, v)
+    if unbounded_has_vc(take, budget - 1):
+        return True
+    nbrs = sorted(adj[v])
+    if len(nbrs) > budget:
+        return False
+    skip = {w: set(ns) for w, ns in adj.items()}
+    for u in nbrs:
+        _drop_vertex(skip, u)
+    return unbounded_has_vc(skip, budget - len(nbrs))
+
+
+def unbounded_minimum_vertex_cover(graph: Graph) -> tuple[int, ...]:
+    """Exact minimum vertex cover, lexicographically smallest on ties."""
+    base = _adjacency_map(graph)
+    size = 0
+    while not unbounded_has_vc({v: set(nbrs) for v, nbrs in base.items()}, size):
+        size += 1
+    chosen: list[int] = []
+    work = {v: set(nbrs) for v, nbrs in base.items()}
+    budget = size
+    for v in range(graph.vertex_count):
+        if budget == 0:
+            break
+        trial = {w: set(nbrs) for w, nbrs in work.items()}
+        if v in trial:
+            _drop_vertex(trial, v)
+        if unbounded_has_vc(trial, budget - 1):
+            chosen.append(v)
+            if v in work:
+                _drop_vertex(work, v)
+            budget -= 1
+    return tuple(chosen)

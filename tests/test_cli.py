@@ -7,6 +7,7 @@ from fairnet import (
     SolveOutcome,
     SolveStats,
 )
+from fairnet import cli
 from fairnet.cli import main
 
 C4_TEXT = """fairnet v1
@@ -177,6 +178,27 @@ class TestSolve:
         path = put(tmp_path, "huge", "fairnet v1\nvertices 4\nlabel 1 1000000000000\n")
         assert main(["solve", path]) == 3
         assert "1000000000000 values for 4 vertices" in capsys.readouterr().err
+
+    def test_out_of_memory_is_a_refusal(self, tmp_path, capsys, monkeypatch):
+        # exit 1 would read as the verdict "unfair"
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "read_instance", exhausted)
+        assert main(["solve", put(tmp_path, "c4", C4_TEXT)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refused: out of memory" in captured.err
+
+    def test_report_sizes_on_3part_k33(self, tmp_path, capsys):
+        # the report's exact FVS used to cost 14x the solve on this family
+        path = str(tmp_path / "k33")
+        main(["generate", "3part-k33", "--w", "4,3,2,5,1,3,6,2,1,3,3,3", "--out", path])
+        assert main(["solve", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        keys = ("n", "delta", "alpha", "fvs", "vc", "r")
+        report = [line for line in lines if line.split()[0] in keys]
+        assert report == ["n 12", "delta 3", "alpha 6", "fvs 4", "vc 6", "r 3"]
 
     def test_bad_timeout(self, tmp_path, capsys):
         assert main(["solve", put(tmp_path, "c4", C4_TEXT), "--timeout", "-1"]) == 3

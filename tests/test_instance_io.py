@@ -141,6 +141,17 @@ class TestErrors:
             "1000000000000 values for 4 vertices",
         )
 
+    def test_label_count_checked_before_building_the_graph(self, monkeypatch):
+        # a huge vertex count must not be allocated when the labels disagree
+        def build(*args):
+            raise AssertionError("graph built before the label check")
+
+        monkeypatch.setattr(Graph, "from_edges", build)
+        self.assert_rejects(
+            "fairnet v1\nvertices 1000000000000\nlabel 1 5\n",
+            "5 values for 1000000000000 vertices",
+        )
+
     def test_k(self):
         base = "fairnet v1\nvertices 1\nlabel 1 1\n"
         self.assert_rejects(base + "k 0\n", "positive")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,8 +20,31 @@ from fairnet import (
     star_graph,
     twin_classes,
 )
-from fairnet.structure import _short_cycle
-from support import brute_min_fvs_size, brute_min_vc_size, random_graph
+from fairnet.reductions import (
+    SemiMagicSpec,
+    ThreePartitionInstance,
+    XsatFormula,
+    gen_3partition_k33,
+    gen_3partition_stars,
+    gen_circulant,
+    gen_semimagic,
+    gen_xsat,
+)
+from fairnet.structure import (
+    _adjacency_map,
+    _cycle_rank_bound,
+    _matching_bound,
+    _prune_degree_le1,
+    _short_cycle,
+)
+from support import (
+    _is_acyclic,
+    brute_min_fvs_size,
+    brute_min_vc_size,
+    random_graph,
+    unbounded_minimum_feedback_vertex_set,
+    unbounded_minimum_vertex_cover,
+)
 
 
 class TestComponents:
@@ -160,3 +184,83 @@ class TestExactFvsVc:
             assert len(vc) == brute_min_vc_size(g)
             cover = set(vc)
             assert all(u in cover or v in cover for u, v in g.edges())
+
+
+def _first_minimum(graph, solves):
+    """The first set in itertools.combinations order of the smallest size
+    that `solves` accepts."""
+    for size in range(graph.vertex_count + 1):
+        for subset in itertools.combinations(range(graph.vertex_count), size):
+            if solves(subset):
+                return subset
+    raise AssertionError("unreachable: the whole vertex set is a solution")
+
+
+def _family_graphs():
+    rng = random.Random(11)
+    graphs = []
+    for m in (2, 3, 4, 5):
+        while True:
+            values = tuple(rng.randint(1, 9) for _ in range(3 * m))
+            if sum(values) % m == 0:
+                break
+        instance = ThreePartitionInstance(values, m)
+        graphs.append(gen_3partition_k33(instance).graph)
+        graphs.append(gen_3partition_stars(instance).graph)
+    graphs.extend(gen_circulant(n, 4) for n in (8, 9, 10))
+    graphs.append(gen_semimagic(SemiMagicSpec(3, tuple(range(1, 10)))).graph)
+    graphs.append(gen_semimagic(SemiMagicSpec(3, (1, 2, 8, 5, 7, 9, 2, 5, 6))).graph)
+    return graphs
+
+
+class TestLowerBounds:
+    """The cyclomatic and matching bounds only cut branches that cannot
+    succeed, so the searches return the tuples of the unbounded ones."""
+
+    def test_same_tuples_as_unbounded_search_on_random_graphs(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 16), rng.choice((0.2, 0.3, 0.5)))
+            assert minimum_feedback_vertex_set(g) == unbounded_minimum_feedback_vertex_set(g)
+            assert minimum_vertex_cover(g) == unbounded_minimum_vertex_cover(g)
+
+    def test_same_tuples_as_unbounded_search_on_generator_families(self):
+        for g in _family_graphs():
+            assert minimum_feedback_vertex_set(g) == unbounded_minimum_feedback_vertex_set(g)
+            assert minimum_vertex_cover(g) == unbounded_minimum_vertex_cover(g)
+
+    def test_same_vertex_cover_as_unbounded_search_on_xsat(self):
+        g = gen_xsat(XsatFormula(3, ((0, 1, 2),) * 3)).graph
+        cover = minimum_vertex_cover(g)
+        assert len(cover) == 36
+        assert cover == unbounded_minimum_vertex_cover(g)
+
+    def test_ties_break_to_the_first_combination(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 10), rng.choice((0.25, 0.4, 0.6)))
+            edges = list(g.edges())
+            assert minimum_feedback_vertex_set(g) == _first_minimum(
+                g, lambda s: _is_acyclic(g, frozenset(s))
+            )
+            assert minimum_vertex_cover(g) == _first_minimum(
+                g, lambda s: all(u in s or v in s for u, v in edges)
+            )
+
+    def test_bounds_never_exceed_the_brute_force_minimum(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 10), rng.choice((0.25, 0.4, 0.6)))
+            fvs, vc = brute_min_fvs_size(g), brute_min_vc_size(g)
+            adj = _adjacency_map(g)
+            assert _matching_bound(adj) <= vc
+            assert _cycle_rank_bound(adj) <= fvs
+            _prune_degree_le1(adj)
+            assert _cycle_rank_bound(adj) <= fvs
+
+    def test_bounds_are_tight_on_disjoint_triangles(self):
+        triangles = disjoint_union(*[cycle_graph(3)] * 3)
+        adj = _adjacency_map(triangles)
+        assert _cycle_rank_bound(adj) == 3 == len(minimum_feedback_vertex_set(triangles))
+        assert _matching_bound(adj) == 3
+
