@@ -4,11 +4,11 @@ All solvers are exact on their stated domain and report Fair only through a
 re-verified certificate.  Resource limits surface as RefusalError, never as
 a verdict.  The oracle and the two enumerating strategies (vc-alpha,
 fvs-alpha-delta) each build tables for the one ordered search in
-`search.ordered_search`.  The enumerating strategies set up once per solve
-and then decide a requested constant, or else each candidate constant in
-ascending order until one is fair.  The dispatcher adds the screens, the
-closed forms and the rule that a disjoint union is fair only under one
-shared constant.
+`search.ordered_search`.  Without a requested constant they decide the
+one constant a fair labeling can have: if A x = 1 on each component, the
+multiset sums to 1^T l = x^T A l = K 1^T x, so K = sum(S) / sum_C s_C
+(`_forced_constant`).  The dispatcher adds the screens and the closed
+forms, and hands that constant to the strategy it picks.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .special import _solve_cycles, enumerate_boundary_extensions, solve_disjoin
 from .structure import (
     Shape,
     classify,
-    connected_components,
+    component_weights,
     minimum_feedback_vertex_set,
     minimum_vertex_cover,
     twin_classes,
@@ -124,8 +124,10 @@ def _oracle_tables(graph: Graph) -> SearchTables:
 def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> SolveOutcome:
     """Exhaustive exact decision; canonically first certificate.
 
-    Optionally restricted to one candidate constant.  Refuses (rather than
-    guessing) when the twin-class count exceeds the configured cap.
+    Searches the requested constant, or else the forced one
+    (`_forced_constant`), the only constant a fair labeling can have.
+    Refuses (rather than guessing) when the twin-class count exceeds the
+    configured cap.
     """
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
@@ -138,7 +140,13 @@ def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> S
         # an isolated vertex sees 0 while its constrained peers see >= 1
         stats.trace.append("isolated vertex next to constrained vertices")
         return SolveOutcome.make_unfair(stats)
-    for assignment, constant in ordered_search(_oracle_tables(graph), labels, stats, k):
+    tables = _oracle_tables(graph)
+    if k is None:
+        k = _forced_constant(graph, labels)
+        if k is None:
+            stats.trace.append("no fairness constant")
+            return SolveOutcome.make_unfair(stats)
+    for assignment, constant in ordered_search(tables, labels, stats, k):
         return certified_outcome(graph, labels, assignment, constant, stats)
     return SolveOutcome.make_unfair(stats)
 
@@ -204,9 +212,7 @@ def solve_fvs_alpha_delta(
     rest is decided by enumerating labels over the feedback set plus the
     forest leaves, forcing all interior forest labels, and keeping exactly
     the assignments that satisfy every equation with leftover labels for the
-    stars.  The split and the feedback set are computed once; the requested
-    constant, or else each candidate in ascending order, is then decided
-    until one is fair.
+    stars.  The requested constant, or else the forced one, is decided.
     """
     constants = _constants(graph, labels, k)
     stats = SolveStats()
@@ -221,7 +227,7 @@ def solve_fvs_alpha_delta(
     ]
     rest_vertices = sorted(set(range(graph.vertex_count)) - set(star_vertices))
     if not rest_vertices:
-        return _first_fair(constants, stats, lambda k: solve_disjoint_stars(graph, labels, k))
+        return _decide(constants, stats, lambda k: solve_disjoint_stars(graph, labels, k))
 
     if len(rest_vertices) > EXACT_PARAM_LIMIT:
         raise RefusalError(
@@ -255,7 +261,7 @@ def solve_fvs_alpha_delta(
             return certified_outcome(graph, labels, assignment, k, sub)
         return SolveOutcome.make_unfair(sub)
 
-    return _first_fair(constants, stats, decide)
+    return _decide(constants, stats, decide)
 
 
 def _cover_tables(graph: Graph, cover: tuple[int, ...],
@@ -296,9 +302,8 @@ def solve_vc_alpha(
     What remains per cover labeling is how many vertices of each class take
     each distinct value: class sizes, leftover multiplicities and the cover
     equations (cover-side adjacency contributes its fixed sum) form an
-    integer feasibility program.  The cover, classes, program builder and
-    search tables are set up once; the requested constant, or else each
-    candidate in ascending order, is then decided until one is fair.
+    integer feasibility program.  The requested constant, or else the forced
+    one, is decided.
     """
     constants = _constants(graph, labels, k)
     stats = SolveStats()
@@ -349,7 +354,7 @@ def solve_vc_alpha(
             return certified_outcome(graph, labels, assignment, k, sub)
         return SolveOutcome.make_unfair(sub)
 
-    return _first_fair(constants, stats, decide)
+    return _decide(constants, stats, decide)
 
 
 @timed
@@ -394,48 +399,6 @@ def solve_regular_fvs(
         stats.trace.append("delegating to exhaustive search")
         return _adopt(stats, solve_oracle(graph, labels, k=k))
     return _solve_cycles(graph, labels, k, stats)
-
-
-def _component_constant_filter(graph: Graph, labels: LabelMultiset,
-                               candidates: list[int]) -> list[int]:
-    """Drop candidates no regular component can realize.
-
-    Summing a regular component's equations gives k * size = r * (sum of the
-    labels it receives), so k * size must be divisible by r with the quotient
-    achievable by some size-subset of the multiset (bounded by the sums of
-    the smallest and largest size-many values).
-    """
-    vals = labels.values
-    prefix = [0]
-    for v in vals:
-        prefix.append(prefix[-1] + v)
-
-    def smallest(m: int) -> int:
-        return prefix[m]
-
-    def largest(m: int) -> int:
-        return prefix[-1] - prefix[len(vals) - m]
-
-    filters = []
-    for comp in connected_components(graph):
-        degs = {graph.degree(v) for v in comp}
-        if len(degs) == 1:
-            r = degs.pop()
-            if r >= 1:
-                filters.append((r, len(comp)))
-    if not filters:
-        return candidates
-    out = []
-    for k in candidates:
-        ok = True
-        for r, size in filters:
-            need = k * size
-            if need % r != 0 or not smallest(size) <= need // r <= largest(size):
-                ok = False
-                break
-        if ok:
-            out.append(k)
-    return out
 
 
 @dataclass(frozen=True)
@@ -518,19 +481,52 @@ def _adopt(stats: SolveStats, sub: SolveOutcome) -> SolveOutcome:
     return SolveOutcome(sub.verdict, sub.certificate, stats)
 
 
+def _forced_constant(graph: Graph, labels: LabelMultiset) -> int | None:
+    """The one constant a fair labeling can have, or None when there is none.
+
+    A fair labeling with constant K gives each component C the label sum
+    K s_C (`component_weights`), so the multiset's sum is K times the sum of
+    the s_C.  K must therefore be that quotient, a positive integer, and each
+    K s_C an integer that some |C| labels can sum to: between the sums of
+    the |C| smallest and the |C| largest.  A component of degree r has
+    s_C = |C| / r, which gives the regular graphs' r * sum / n.
+    """
+    weights = component_weights(graph)
+    if any(weight is None for _comp, weight in weights):
+        return None
+    total = sum(weight for _comp, weight in weights)
+    if total <= 0:
+        return None
+    k = labels.total() / total
+    if k.denominator != 1:
+        return None
+    vals = labels.values
+    prefix = [0]
+    for v in vals:
+        prefix.append(prefix[-1] + v)
+    for comp, weight in weights:
+        need, size = k * weight, len(comp)
+        smallest, largest = prefix[size], prefix[-1] - prefix[-1 - size]
+        if need.denominator != 1 or not smallest <= need <= largest:
+            return None
+    return int(k)
+
+
 def _candidates(graph: Graph, labels: LabelMultiset, k: int | None = None) -> list[int]:
-    """Candidate constants minus those no regular component can realize,
-    narrowed to k when one is requested."""
-    candidates = _component_constant_filter(
-        graph, labels, fairness_constant_candidates(graph, labels)
-    )
-    if k is None:
-        return candidates
-    return [k] if k in candidates else []
+    """The forced constant when it is among the candidates, narrowed to k
+    when one is requested: at most one constant."""
+    candidates = fairness_constant_candidates(graph, labels)
+    if not candidates:
+        return []
+    forced = _forced_constant(graph, labels)
+    if forced is None or forced not in candidates or k not in (None, forced):
+        return []
+    return [forced]
 
 
 def _constants(graph: Graph, labels: LabelMultiset, k: int | None) -> list[int]:
-    """What a per-constant strategy decides: k itself, or else every candidate."""
+    """What a per-constant strategy decides: k itself, or else the forced
+    constant when it is a candidate."""
     if k is not None:
         require_constant(k)
     if len(labels) != graph.vertex_count:
@@ -540,15 +536,15 @@ def _constants(graph: Graph, labels: LabelMultiset, k: int | None) -> list[int]:
     return [k] if k is not None else _candidates(graph, labels)
 
 
-def _first_fair(constants: list[int], stats: SolveStats,
-                decide: Callable[[int], SolveOutcome]) -> SolveOutcome:
-    """The first fair outcome over the constants, else unfair, under `stats`."""
-    for k in constants:
-        outcome = _adopt(stats, decide(k))
-        stats.trace.append(f"k={k}: {outcome.verdict.value}")
-        if outcome.fair:
-            return outcome
-    return SolveOutcome.make_unfair(stats)
+def _decide(constants: list[int], stats: SolveStats,
+            decide: Callable[[int], SolveOutcome]) -> SolveOutcome:
+    """The outcome at the one constant, if any, else unfair, under `stats`."""
+    if not constants:
+        return SolveOutcome.make_unfair(stats)
+    (k,) = constants
+    outcome = _adopt(stats, decide(k))
+    stats.trace.append(f"k={k}: {outcome.verdict.value}")
+    return outcome
 
 
 @timed
@@ -557,11 +553,11 @@ def solve_auto(
 ) -> SolveOutcome:
     """Dispatcher: screens, closed forms, then the cheapest exact strategy.
 
-    Candidate constants are intersected across components up front (a fair
-    disjoint union shares one constant), and each surviving candidate is
-    decided by a single whole-graph strategy, which settles how the multiset
-    splits across components as part of its own search.  A requested
-    constant narrows the candidate set to itself.
+    The constant is settled up front: the forced one (`_forced_constant`),
+    shared by every component, or none.  The surviving constant is handed to
+    a single whole-graph strategy, which settles how the multiset splits
+    across components as part of its own search.  A requested constant other
+    than the forced one is unfair at once.
     """
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
@@ -583,7 +579,7 @@ def solve_auto(
     if report.shape is Shape.DISJOINT_STARS:
         candidates = _candidates(graph, labels, k)
         stats.trace.append(f"disjoint stars; candidates {candidates}")
-        return _first_fair(candidates, stats, lambda k: solve_disjoint_stars(graph, labels, k))
+        return _decide(candidates, stats, lambda k: solve_disjoint_stars(graph, labels, k))
 
     r = report.regular_degree
     if r is not None and r >= 1:
@@ -605,9 +601,9 @@ def solve_auto(
             else ""
         )
     )
-    if plan.tag is StrategyTag.ORACLE:
-        return _adopt(stats, solve_oracle(graph, labels, k))
-    runner = (
-        solve_vc_alpha if plan.tag is StrategyTag.VC_ALPHA else solve_fvs_alpha_delta
-    )
-    return _adopt(stats, runner(graph, labels, k))
+    runner = {
+        StrategyTag.ORACLE: solve_oracle,
+        StrategyTag.VC_ALPHA: solve_vc_alpha,
+        StrategyTag.FVS_ALPHA_DELTA: solve_fvs_alpha_delta,
+    }[plan.tag]
+    return _adopt(stats, runner(graph, labels, candidates[0]))

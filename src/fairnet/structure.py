@@ -1,4 +1,5 @@
-"""Structural analysis: components, twin classes, shape tags, exact FVS and VC.
+"""Structural analysis: components, twin classes, shape tags, component
+weights, exact FVS and VC.
 
 The feedback-vertex-set and vertex-cover routines are exact branch-and-bound
 searches meant for the small instances this package targets.  Both return the
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -42,6 +44,70 @@ def connected_components(graph: Graph) -> list[tuple[int, ...]]:
                     queue.append(u)
         components.append(tuple(sorted(comp)))
     return components
+
+
+def _ones_solution_sum(matrix: list[list[int]]) -> Fraction | None:
+    """1^T x for any x with M x = 1, or None when there is none.
+
+    Fraction-free (Bareiss) elimination of [M | 1] to echelon form over the
+    integers: every entry stays a minor of the augmented matrix, so each
+    division is exact.  With the free variables at 0, D x is integral for D
+    the last pivot (Cramer's rule on the pivot block), so the integer
+    back-substitution divides exactly too and one fraction ends it.
+    """
+    size = len(matrix)
+    rows = [row + [1] for row in matrix]
+    pivots: list[int] = []
+    previous = 1
+    for col in range(size):
+        top = len(pivots)
+        found = next((i for i in range(top, size) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[top], rows[found] = rows[found], rows[top]
+        pivot_row = rows[top]
+        pivot = pivot_row[col]
+        for i in range(top + 1, size):
+            row = rows[i]
+            factor = row[col]
+            if factor:
+                row[col:] = [
+                    (pivot * a - factor * b) // previous
+                    for a, b in zip(row[col:], pivot_row[col:])
+                ]
+            else:
+                row[col:] = [pivot * a // previous for a in row[col:]]
+        previous = pivot
+        pivots.append(col)
+    if any(rows[i][size] for i in range(len(pivots), size)):
+        return None
+    scaled: dict[int, int] = {}
+    for i in reversed(range(len(pivots))):
+        row = rows[i]
+        rest = previous * row[size] - sum(row[j] * scaled[j] for j in pivots[i + 1:])
+        scaled[pivots[i]] = rest // row[pivots[i]]
+    return Fraction(sum(scaled.values()), previous)
+
+
+def component_weights(graph: Graph) -> list[tuple[tuple[int, ...], Fraction | None]]:
+    """Each connected component C with s_C = 1^T x for A_C x = 1, or None.
+
+    A_C is the adjacency matrix of C.  s_C does not depend on which solution
+    x is taken: 1 lies in the column space of the symmetric A_C, so it is
+    orthogonal to the null space that separates two solutions.  A fair
+    labeling l with constant K > 0 solves A_C l_C = K 1, hence the labels C
+    receives sum to K s_C, and a component with no solution (s_C None) has
+    no fair labeling with positive labels.
+    """
+    weights = []
+    for comp in connected_components(graph):
+        index = {v: i for i, v in enumerate(comp)}
+        matrix = [[0] * len(comp) for _ in comp]
+        for v in comp:
+            for u in graph.adjacency[v]:
+                matrix[index[v]][index[u]] = 1
+        weights.append((comp, _ones_solution_sum(matrix)))
+    return weights
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 from fairnet import (
     Graph,
@@ -59,6 +60,56 @@ def brute_force_fair(graph: Graph, labels: LabelMultiset):
         if result is not VACUOUS:
             constants.add(result)
     return fair, constants
+
+
+def gauss_jordan_weights(graph: Graph) -> list[tuple[tuple[int, ...], Fraction | None]]:
+    """Per connected component C, 1^T x for a solution of A_C x = 1, or None.
+
+    Plain Gauss-Jordan elimination over Fractions on [A_C | 1], components
+    found by their own flood fill: the reference for `component_weights`.
+    """
+    n = graph.vertex_count
+    component_of = [-1] * n
+    components: list[list[int]] = []
+    for start in range(n):
+        if component_of[start] >= 0:
+            continue
+        component_of[start] = len(components)
+        members, stack = [], [start]
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            for u in graph.neighbors(v):
+                if component_of[u] < 0:
+                    component_of[u] = len(components)
+                    stack.append(u)
+        components.append(sorted(members))
+    weights = []
+    for comp in components:
+        size = len(comp)
+        rows = [
+            [Fraction(int(u in graph.neighbors(v))) for u in comp] + [Fraction(1)]
+            for v in comp
+        ]
+        pivot_cols = []
+        for col in range(size):
+            r = len(pivot_cols)
+            found = next((i for i in range(r, size) if rows[i][col] != 0), None)
+            if found is None:
+                continue
+            rows[r], rows[found] = rows[found], rows[r]
+            rows[r] = [a / rows[r][col] for a in rows[r]]
+            for i in range(size):
+                if i != r and rows[i][col] != 0:
+                    factor = rows[i][col]
+                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+            pivot_cols.append(col)
+        consistent = all(rows[i][size] == 0 for i in range(len(pivot_cols), size))
+        # reduced rows: with the free variables at 0, x at each pivot column
+        # is that row's right-hand side
+        weight = sum(rows[i][size] for i in range(len(pivot_cols))) if consistent else None
+        weights.append((tuple(comp), weight))
+    return weights
 
 
 def brute_boundary_extensions(

@@ -165,14 +165,15 @@ class TestSolve:
         ],
     )
     def test_setup_runs_once_per_solve(self, tmp_path, capsys, algo, setup_line):
-        # 26 candidate constants, one cover or feedback set computed and traced
+        # one forced constant out of 26 candidates, one cover or feedback
+        # set computed and traced
         path = str(tmp_path / "grid")
         main(["generate", "semimagic", "--entries", "1,2,8,5,7,9,2,5,6", "--out", path])
         capsys.readouterr()
         assert main(["solve", path, "--algo", algo]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.startswith(setup_line) for line in lines) == 1
-        assert sum(line.startswith("trace k=") for line in lines) == 26
+        assert sum(line.startswith("trace k=") for line in lines) == 1
 
     def test_huge_label_count_is_an_input_error(self, tmp_path, capsys):
         path = put(tmp_path, "huge", "fairnet v1\nvertices 4\nlabel 1 1000000000000\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,14 +11,17 @@ from fairnet import (
     SemiMagicSpec,
     StrategyTag,
     ThreePartitionInstance,
+    XsatFormula,
     complete_bipartite,
     cycle_graph,
     disjoint_union,
     empty_graph,
     fairness_constant_candidates,
     gen_3partition_k33,
+    gen_3partition_stars,
     gen_circulant,
     gen_semimagic,
+    gen_xsat,
     oracle_constants,
     parameter_report,
     path_graph,
@@ -30,8 +34,9 @@ from fairnet import (
     star_graph,
     verify,
 )
+from fairnet import solvers
 from fairnet.cli import run_algorithm
-from fairnet.solvers import _candidates
+from fairnet.solvers import _candidates, _forced_constant
 from support import (
     brute_force_fair,
     constructed_fair,
@@ -39,6 +44,7 @@ from support import (
     random_instance,
     random_labels,
 )
+from test_structure import NEGATIVE_WEIGHT, ZERO_WEIGHT
 
 
 def S(*values):
@@ -368,16 +374,24 @@ class TestAuto:
             solve_auto(cycle_graph(3), S(1, 2))
 
     @pytest.mark.parametrize(
-        "entries, nodes",
-        [((1, 2, 8, 5, 7, 9, 2, 5, 6), 85184), ((4, 3, 7, 2, 1, 3, 4, 8, 5), 65558)],
+        "entries, effort, k",
+        [
+            ((1, 2, 8, 5, 7, 9, 2, 5, 6), (3301, 2), 15),
+            ((4, 3, 7, 2, 1, 3, 4, 8, 5), (0, 0), 12),
+        ],
     )
-    def test_ilp_bound_semimagic_grids(self, entries, nodes):
-        # unfair grids on which vc-alpha reaches the ILP twice; the counts
-        # pin the search and the number of programs it hands to the ILP
+    def test_ilp_bound_semimagic_grids(self, entries, effort, k):
+        # unfair grids on which vc-alpha reaches the ILP twice at k; the
+        # counts pin the search and the number of programs it hands to the
+        # ILP.  auto searches only the forced constant sum / 6, which the
+        # second grid's sum 73 does not have
         instance = gen_semimagic(SemiMagicSpec(3, entries))
         out = solve_auto(instance.graph, instance.labels)
         assert not out.fair
-        assert (out.stats.nodes, out.stats.ilp_calls) == (nodes, 2)
+        assert (out.stats.nodes, out.stats.ilp_calls) == effort
+        pinned = solve_vc_alpha(instance.graph, instance.labels, k)
+        assert not pinned.fair
+        assert (pinned.stats.nodes, pinned.stats.ilp_calls) == (3301, 2)
 
 
 class TestParameterReport:
@@ -408,10 +422,10 @@ class TestEnumerators:
     @pytest.mark.parametrize(
         "family, algo, pinned",
         [
-            ("circulant", "oracle", (False, None, 165034, 0)),
+            ("circulant", "oracle", (False, None, 32576, 0)),
             ("circulant", "vc-alpha", (False, None, 74436, 116)),
             ("circulant", "fvs-alpha-delta", (False, None, 84012, 0)),
-            ("3part-k33", "oracle", (True, (1, 3, 5, 2, 3, 4), 42, 0)),
+            ("3part-k33", "oracle", (True, (1, 3, 5, 2, 3, 4), 9, 0)),
             ("3part-k33", "vc-alpha", (True, (1, 3, 5, 2, 3, 4), 10, 1)),
             ("3part-k33", "fvs-alpha-delta", (True, (1, 3, 5, 2, 3, 4), 6, 0)),
         ],
@@ -460,3 +474,118 @@ class TestEnumerators:
             assert whole.certificate == first
             assert (whole.stats.nodes, whole.stats.ilp_calls) == (nodes, ilp_calls)
             checked += 1
+
+
+def _first_fair_per_constant(solver, graph, labels):
+    """The first fair outcome of per-constant calls over every candidate."""
+    for k in fairness_constant_candidates(graph, labels):
+        out = solver(graph, labels, k)
+        if out.fair:
+            return out
+    return None
+
+
+def _planted_semimagic(rng):
+    """A shuffled positive sum of the 3x3 permutation matrices: fair."""
+    while True:
+        grid = [0] * 9
+        for perm in itertools.permutations(range(3)):
+            weight = rng.randint(0, 3)
+            for i in range(3):
+                grid[3 * i + perm[i]] += weight
+        if min(grid) >= 1:
+            rng.shuffle(grid)
+            return gen_semimagic(SemiMagicSpec(3, tuple(grid)))
+
+
+def _family_instances(rng):
+    """Seeded instances of every generator family, fair ones among them."""
+    made = [gen_semimagic(SemiMagicSpec(3, tuple(rng.randint(1, 4) for _ in range(9))))
+            for _ in range(6)]
+    made += [_planted_semimagic(rng) for _ in range(4)]
+    for values in [(1, 2, 3, 3, 2, 1), (1, 1, 4, 2, 2, 2), (1, 1, 1, 5, 3, 1)]:
+        source = ThreePartitionInstance(values, 2)
+        made += [gen_3partition_k33(source), gen_3partition_stars(source)]
+    made.append(gen_xsat(XsatFormula(3, ((0, 1, 2),) * 3)))
+    instances = [(inst.graph, inst.labels) for inst in made]
+    for n in (8, 9, 10):
+        instances.append((gen_circulant(n, 4), S(*[rng.randint(1, 5)] * n)))
+        for _ in range(3):
+            labels = S(*rng.sample(range(1, 2 * n + 1), n))
+            instances.append((gen_circulant(n, 4), labels))
+    return instances
+
+
+class TestForcedConstant:
+    """The forced constant is the only one a fair labeling can have."""
+
+    def test_contains_every_realized_constant(self):
+        rng = random.Random(907)
+        fair_count = 0
+        for i in range(2400):
+            if i % 4 == 0:
+                graph, labels, _, _ = constructed_fair(rng, max_n=8)
+            else:
+                graph, labels = random_instance(rng, max_n=8)
+            if graph.is_edgeless():
+                continue
+            fair, constants = brute_force_fair(graph, labels)
+            assert fair == bool(constants)
+            assert constants <= {_forced_constant(graph, labels)}
+            fair_count += fair
+        assert fair_count >= 500
+
+    def test_contains_every_realized_constant_on_generator_families(self):
+        rng = random.Random(911)
+        fair_count = 0
+        for graph, labels in _family_instances(rng):
+            realized = {
+                k for k in fairness_constant_candidates(graph, labels)
+                if solve_vc_alpha(graph, labels, k).fair
+            }
+            assert realized <= {_forced_constant(graph, labels)}
+            fair_count += bool(realized)
+        assert fair_count >= 11
+
+    def test_strategies_match_first_fair_per_constant_call(self):
+        rng = random.Random(919)
+        checked = 0
+        while checked < 600:
+            if checked % 2 == 0:
+                graph, labels, _, _ = constructed_fair(rng, max_n=8)
+            else:
+                graph, labels = random_instance(rng, max_n=8)
+            if graph.vertex_count == 0 or graph.min_degree() == 0:
+                continue
+            for solver in (solve_auto, solve_oracle, solve_vc_alpha, solve_fvs_alpha_delta):
+                whole = solver(graph, labels)
+                first = _first_fair_per_constant(solver, graph, labels)
+                assert whole.fair == (first is not None)
+                assert whole.certificate == (first.certificate if first else None)
+            checked += 1
+
+    def test_elimination_runs_once_per_solve(self, monkeypatch):
+        calls = []
+        weights = solvers.component_weights
+
+        def counted(graph):
+            calls.append(graph)
+            return weights(graph)
+
+        monkeypatch.setattr(solvers, "component_weights", counted)
+        grid = gen_semimagic(SemiMagicSpec(3, (1, 2, 8, 5, 7, 9, 2, 5, 6)))
+        bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+        for graph, labels in [(grid.graph, grid.labels), (bowtie, S(1, 1, 1, 1, 3))]:
+            calls.clear()
+            solve_auto(graph, labels)
+            assert len(calls) == 1
+
+    def test_no_constant_without_a_positive_weight(self):
+        for graph in (ZERO_WEIGHT, NEGATIVE_WEIGHT):
+            for value in (1, 2, 3):
+                assert _forced_constant(graph, S(*[value] * graph.vertex_count)) is None
+
+    def test_oracle_without_a_constant_is_unfair_at_once(self):
+        out = solve_oracle(path_graph(5), S(1, 1, 1, 1, 1))
+        assert not out.fair and out.stats.nodes == 0
+        assert out.stats.trace == ["no fairness constant"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,11 +37,13 @@ from fairnet.structure import (
     _matching_bound,
     _prune_degree_le1,
     _short_cycle,
+    component_weights,
 )
 from support import (
     _is_acyclic,
     brute_min_fvs_size,
     brute_min_vc_size,
+    gauss_jordan_weights,
     random_graph,
     unbounded_minimum_feedback_vertex_set,
     unbounded_minimum_vertex_cover,
@@ -264,3 +267,94 @@ class TestLowerBounds:
         assert _cycle_rank_bound(adj) == 3 == len(minimum_feedback_vertex_set(triangles))
         assert _matching_bound(adj) == 3
 
+
+
+# A x = 1 solvable with 1^T x = 0 and -1/2: no positive constant exists
+ZERO_WEIGHT = Graph.from_edges(6, [(0, 5), (1, 3), (1, 4), (1, 5), (2, 4), (4, 5)])
+NEGATIVE_WEIGHT = Graph.from_edges(
+    7, [(0, 6), (1, 2), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 5), (5, 6)]
+)
+
+
+def _with_twins(rng: random.Random, base: Graph, extra: int) -> Graph:
+    """base plus `extra` copies of random vertices, each a false twin (same
+    neighbors) or a true twin (same neighbors and adjacent to its original):
+    equal or dependent rows make the adjacency matrix singular."""
+    edges = set(base.edges())
+    n = base.vertex_count
+    for _ in range(extra):
+        v = rng.randrange(n)
+        edges.update((u, n) for u in range(n) if (min(u, v), max(u, v)) in edges)
+        if rng.random() < 0.5:
+            edges.add((v, n))
+        n += 1
+    return Graph.from_edges(n, sorted(edges))
+
+
+def _singular_rich_graph(rng: random.Random) -> Graph:
+    kind = rng.randrange(5)
+    if kind == 0:
+        return path_graph(rng.randint(1, 12))
+    if kind == 1:
+        a = rng.randint(1, 8)
+        return complete_bipartite(a, rng.randint(1, 12 - a))
+    if kind == 2:
+        m = rng.randint(2, 8)
+        base = random_graph(rng, m, rng.choice((0.3, 0.5, 0.7)))
+        return _with_twins(rng, base, rng.randint(1, 12 - m))
+    if kind == 3:
+        first = rng.randint(1, 6)
+        return disjoint_union(
+            path_graph(first), random_graph(rng, rng.randint(1, 12 - first), 0.5)
+        )
+    return random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.35, 0.5, 0.75)))
+
+
+class TestComponentWeights:
+    """s_C = 1^T x for A_C x = 1 on each component, or None without one."""
+
+    def test_matches_fraction_gauss_jordan(self):
+        rng = random.Random(53)
+        unsolvable = singular = 0
+        for _ in range(1200):
+            g = _singular_rich_graph(rng)
+            expected = gauss_jordan_weights(g)
+            assert component_weights(g) == expected
+            unsolvable += sum(weight is None for _comp, weight in expected)
+            # a solvable singular system: an equal row pair (twins) with a weight
+            singular += any(
+                weight is not None and len(set(g.adjacency[v] for v in comp)) < len(comp)
+                for comp, weight in expected
+            )
+        assert unsolvable >= 500 and singular >= 500
+
+    def test_regular_components_weigh_size_over_degree(self):
+        for g, r in [(cycle_graph(5), 2), (cycle_graph(8), 2), (gen_circulant(10, 4), 4),
+                     (complete_bipartite(3, 3), 3)]:
+            assert component_weights(g) == [
+                (tuple(range(g.vertex_count)), Fraction(g.vertex_count, r))
+            ]
+        g = disjoint_union(cycle_graph(4), gen_circulant(9, 4))
+        assert [weight for _comp, weight in component_weights(g)] == [2, Fraction(9, 4)]
+
+    def test_stars_weigh_two(self):
+        for leaves in range(1, 7):
+            assert component_weights(star_graph(leaves)) == [
+                (tuple(range(leaves + 1)), 2)
+            ]
+
+    def test_semimagic_grid_weighs_six(self):
+        g = gen_semimagic(SemiMagicSpec(3, tuple(range(1, 10)))).graph
+        assert component_weights(g) == [(tuple(range(15)), 6)]
+
+    def test_paths(self):
+        assert component_weights(path_graph(4)) == [((0, 1, 2, 3), 2)]
+        assert component_weights(path_graph(5)) == [((0, 1, 2, 3, 4), None)]
+
+    def test_weights_can_be_zero_or_negative(self):
+        assert component_weights(ZERO_WEIGHT) == [(tuple(range(6)), 0)]
+        assert component_weights(NEGATIVE_WEIGHT) == [(tuple(range(7)), Fraction(-1, 2))]
+
+    def test_isolated_vertex_has_no_weight(self):
+        g = disjoint_union(path_graph(2), empty_graph(1))
+        assert component_weights(g) == [((0, 1), 2), ((2,), None)]
