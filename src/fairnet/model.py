@@ -344,16 +344,9 @@ def certified_outcome(graph: Graph, labels: LabelMultiset, assignment: Iterable[
     return SolveOutcome.make_fair(cert, stats)
 
 
-def fairness_constant_candidates(graph: Graph, labels: LabelMultiset) -> list[int]:
-    """Sound candidate set for the fairness constant; never excludes a valid one.
-
-    Regular graphs admit exactly one possible constant, degree * total / n,
-    because summing all neighborhood equations counts every label degree-many
-    times.  A pendant vertex forces its neighbor's label to equal the
-    constant, so the constant must be one of the label values.  In every case
-    a neighborhood of d vertices carries between the d smallest and the d
-    largest labels, which bounds the constant to an integer interval.
-    """
+def constant_bounds(graph: Graph, labels: LabelMultiset) -> tuple[int, int, bool]:
+    """(low, high, pendant): every fairness constant lies in [low, high],
+    and is one of the label values when `pendant` is set."""
     n = graph.vertex_count
     if n == 0:
         raise InputError("candidate generation needs at least one vertex")
@@ -364,14 +357,26 @@ def fairness_constant_candidates(graph: Graph, labels: LabelMultiset) -> list[in
     r = graph.regular_degree()
     if r is not None:
         total = r * labels.total()
-        return [total // n] if total % n == 0 else []
+        return (total // n, total // n, False) if total % n == 0 else (1, 0, False)
     vals = labels.values
     occurring = sorted(set(graph.degrees))
     low = max(sum(vals[:d]) for d in occurring)
     high = min(sum(vals[-d:]) for d in occurring)
-    if low > high:
-        return []
-    if occurring[0] == 1:
+    return low, high, occurring[0] == 1
+
+
+def fairness_constant_candidates(graph: Graph, labels: LabelMultiset) -> list[int]:
+    """Sound candidate set for the fairness constant; never excludes a valid one.
+
+    Regular graphs admit exactly one possible constant, degree * total / n,
+    because summing all neighborhood equations counts every label degree-many
+    times.  A pendant vertex forces its neighbor's label to equal the
+    constant, so the constant must be one of the label values.  In every case
+    a neighborhood of d vertices carries between the d smallest and the d
+    largest labels, which bounds the constant to an integer interval.
+    """
+    low, high, pendant = constant_bounds(graph, labels)
+    if pendant:
         return [v for v in labels.distinct_values if low <= v <= high]
     if high - low + 1 > CANDIDATE_RANGE_LIMIT:
         raise RefusalError("candidate range too large to enumerate")

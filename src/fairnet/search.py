@@ -6,7 +6,10 @@ label values in ascending order while a copy is left, and check
 neighborhood equations as soon as they are decidable.  They differ only in
 their tables: which vertices are labeled, which equations each label
 enters, where each equation is checked, which forest labels are forced
-along the way and which twin ties restrict the values.
+along the way and which ties restrict the values.  A tie makes a label
+equal an earlier one (true twins) or not fall below it, a floor: the order
+inside a false-twin class, and the oracle's lex-leader rule that no vertex
+of vertex 0's automorphism orbit takes a smaller label than vertex 0.
 
 An equation is "the labels fed into it, plus `pending` labels still to
 come, sum to K".  With nothing pending it is checked exactly; otherwise K
@@ -35,7 +38,10 @@ class SearchTables:
     forcing_at: per position, forcing steps that label forest vertices
         there, after the position's own vertex (empty: nothing forced).
     ties: per position, None or (earlier vertex, equal): the label must
-        equal that vertex's label, or must not fall below it.
+        equal that vertex's label, or must not fall below it (a floor).
+    held: per position, how many later labels the ties hold at or above
+        its label, directly or through other ties; a value is tried only
+        while that many copies at or above it are left besides its own.
     root_checks: equations nothing feeds, checked against the given K
         before the first position.
     """
@@ -46,6 +52,7 @@ class SearchTables:
     checks_at: Sequence[Sequence[int]]
     forcing_at: Sequence[Sequence[ForcingStep]] = ()
     ties: Sequence[tuple[int, bool] | None] = ()
+    held: Sequence[int] = ()
     root_checks: tuple[int, ...] = ()
 
 
@@ -75,6 +82,7 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
     order, feeds, checks_at = tables.order, tables.feeds, tables.checks_at
     forcing_at = tables.forcing_at or [()] * len(order)
     ties = tables.ties or [None] * len(order)
+    held = tables.held or [0] * len(order)
     distinct = labels.distinct_values
     low, high = distinct[0], distinct[-1]
     remaining = dict(labels.counts)  # a plain dict subscripts faster than a Counter
@@ -110,6 +118,17 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
         else:
             floor = value_of[tie[0]]
             options = [value for value in distinct if value >= floor]
+        need = held[i]
+        if need:
+            # the largest value with `need` more copies at or above it
+            left = 0
+            for top in reversed(distinct):
+                left += remaining[top]
+                if left > need:
+                    break
+            else:
+                return
+            options = [value for value in options if value <= top]
         for value in options:
             if remaining[value] == 0:
                 continue

@@ -7,8 +7,12 @@ fvs-alpha-delta) each build tables for the one ordered search in
 `search.ordered_search`.  Without a requested constant they decide the
 one constant a fair labeling can have: if A x = 1 on each component, the
 multiset sums to 1^T l = x^T A l = K 1^T x, so K = sum(S) / sum_C s_C
-(`_forced_constant`).  The dispatcher adds the screens and the closed
-forms, and hands that constant to the strategy it picks.
+(`_forced_constant`).  The oracle returns the lexicographically smallest
+fair labeling and breaks symmetry with it: for an automorphism s, l o s is
+fair whenever l is, so that labeling gives vertex 0 the smallest label of
+its orbit (the lex-leader rule), and the orbit's vertices are floored at
+vertex 0's label.  The dispatcher adds the screens and the closed forms,
+and hands the constant to the strategy it picks.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from .model import (
     SolveOutcome,
     SolveStats,
     certified_outcome,
-    fairness_constant_candidates,
+    constant_bounds,
+    # unused here, but perfbench/tracing.py wraps it under this module
+    fairness_constant_candidates,  # noqa: F401
     require_constant,
     timed,
 )
@@ -39,6 +45,7 @@ from .structure import (
     Shape,
     classify,
     component_weights,
+    first_vertex_orbit,
     minimum_feedback_vertex_set,
     minimum_vertex_cover,
     twin_classes,
@@ -46,6 +53,8 @@ from .structure import (
 
 # refuse exhaustive search beyond this many twin classes (env-overridable)
 ORACLE_CLASS_CAP = 12
+# refinement nodes the oracle's automorphism search may spend
+ORBIT_NODE_BUDGET = 64
 # exact fvs/vc are only attempted below this vertex count
 EXACT_PARAM_LIMIT = 32
 # upper bound on the nominal enumeration size a strategy may plan for
@@ -95,14 +104,20 @@ def _vacuous_outcome(labels: LabelMultiset, stats: SolveStats) -> SolveOutcome:
 
 
 def _oracle_tables(graph: Graph) -> SearchTables:
-    """Exhaustive search over label assignments, pruned by twin symmetry.
+    """Exhaustive search over label assignments, pruned by symmetry.
 
     Vertices are labeled in id order, values tried in ascending order, so the
-    first completion is the lexicographically smallest fair assignment.
-    Within a false-twin class labels are required to be non-decreasing by
-    vertex id: sorting inside a class preserves fairness and never increases
-    the assignment vector, hence the lexicographic minimum obeys the
-    restriction and no verdict is lost.  True twins must agree exactly.
+    first completion is the lexicographically smallest fair assignment, and
+    a restriction that this assignment obeys loses no verdict.  Within a
+    false-twin class labels are required to be non-decreasing by vertex id:
+    sorting inside a class preserves fairness and never increases the
+    assignment vector.  True twins must agree exactly.  For an automorphism
+    s, l o s is fair whenever l is, so the smallest l has l(0) <= l(s(0)):
+    every vertex of vertex 0's orbit (`first_vertex_orbit`) takes a label
+    no smaller than vertex 0's.  Outside vertex 0's twin class that is a
+    floor on each class's first vertex; the twin ties carry it to the rest.
+    A vertex whose label the ties hold below h later labels leaves h copies
+    at or above it: vertex 0 takes at most the |orbit|-th largest label.
     Every vertex whose neighborhood is fully labeled pins the constant;
     partially labeled neighborhoods prune via min/max completions.
     """
@@ -114,9 +129,19 @@ def _oracle_tables(graph: Graph) -> SearchTables:
     for cls in part.classes:
         for a, b in zip(cls.vertices, cls.vertices[1:]):
             ties[b] = (a, cls.true_twin)
+    own = part.classes[0].vertices if part.classes else ()
+    for v in first_vertex_orbit(graph, part, ORBIT_NODE_BUDGET):
+        if ties[v] is None and v not in own:
+            ties[v] = (0, False)
+    held = [0] * graph.vertex_count
+    for tie in ties:
+        while tie is not None:
+            held[tie[0]] += 1
+            tie = ties[tie[0]]
     adjacency = graph.adjacency
     return SearchTables(
-        tuple(range(graph.vertex_count)), adjacency, graph.degrees, adjacency, ties=ties
+        tuple(range(graph.vertex_count)), adjacency, graph.degrees, adjacency,
+        ties=ties, held=held,
     )
 
 
@@ -513,13 +538,22 @@ def _forced_constant(graph: Graph, labels: LabelMultiset) -> int | None:
 
 
 def _candidates(graph: Graph, labels: LabelMultiset, k: int | None = None) -> list[int]:
-    """The forced constant when it is among the candidates, narrowed to k
-    when one is requested: at most one constant."""
-    candidates = fairness_constant_candidates(graph, labels)
-    if not candidates:
+    """The forced constant when it is among `fairness_constant_candidates`,
+    narrowed to k when one is requested: at most one constant.
+
+    Membership is tested on the candidates' bounds, never by listing them,
+    and an empty interval skips the elimination behind the forced constant.
+    """
+    low, high, pendant = constant_bounds(graph, labels)
+    if low > high:
         return []
     forced = _forced_constant(graph, labels)
-    if forced is None or forced not in candidates or k not in (None, forced):
+    if (
+        forced is None
+        or not low <= forced <= high
+        or (pendant and forced not in labels.counts)
+        or k not in (None, forced)
+    ):
         return []
     return [forced]
 

@@ -1,5 +1,5 @@
-"""Structural analysis: components, twin classes, shape tags, component
-weights, exact FVS and VC.
+"""Structural analysis: components, twin classes, vertex 0's automorphism
+orbit, shape tags, component weights, exact FVS and VC.
 
 The feedback-vertex-set and vertex-cover routines are exact branch-and-bound
 searches meant for the small instances this package targets.  Both return the
@@ -160,6 +160,125 @@ def twin_classes(graph: Graph, vertices: Iterable[int] | None = None) -> TwinPar
             classes.append(TwinClass((v,), False))
     classes.sort(key=lambda c: c.vertices[0])
     return TwinPartition(tuple(classes))
+
+
+def _refine_pair(
+    adjacency: list[tuple[int, ...]], left: list, right: list
+) -> tuple[list[int], list[int]] | None:
+    """Colour refinement of two colourings of one graph, in step.
+
+    Each round recolours a vertex by the rank of (its colour, its neighbors'
+    sorted colours).  The ranks depend only on the signatures, so the two
+    sides keep comparable colours; None as soon as their signature multisets
+    differ, when no automorphism maps one colouring onto the other.
+    """
+    count = len(set(left))
+    while True:
+        signatures = []
+        for colours in (left, right):
+            signatures.append([
+                (colours[v], tuple(sorted([colours[u] for u in nbrs])))
+                for v, nbrs in enumerate(adjacency)
+            ])
+        ordered = sorted(signatures[0])
+        if ordered != sorted(signatures[1]):
+            return None
+        rank = {signature: i for i, signature in enumerate(dict.fromkeys(ordered))}
+        left, right = ([rank[s] for s in side] for side in signatures)
+        if len(rank) == count:
+            return left, right
+        count = len(rank)
+
+
+class _OutOfBudget(Exception):
+    """The automorphism search used up its node budget."""
+
+
+def first_vertex_orbit(graph: Graph, part: TwinPartition, budget: int) -> tuple[int, ...]:
+    """Vertices shown to lie in vertex 0's orbit under the automorphism group.
+
+    Twin classes are modules that every automorphism permutes, and a
+    colour-preserving automorphism of the twin quotient (one vertex per
+    class, coloured by class size and kind) lifts to one of the graph by
+    mapping classes onto each other in order.  So the orbit is a union of
+    classes, found on the quotient: for each class whose stable colour is
+    that of vertex 0's class and which is not yet merged with it,
+    individualization-refinement looks for an automorphism taking the one
+    onto the other, and the cycles of each automorphism found are merged
+    in a union-find.  Each refinement is one node; past `budget` nodes the
+    search stops, and every class already merged is still in the orbit.
+    """
+    classes = part.classes
+    if len(classes) < 2 or budget <= 0:
+        return classes[0].vertices if classes else ()
+    class_of = {v: i for i, cls in enumerate(classes) for v in cls.vertices}
+    adjacency = [
+        tuple(sorted({class_of[u] for u in graph.adjacency[cls.vertices[0]]} - {i}))
+        for i, cls in enumerate(classes)
+    ]
+    kinds = [(len(cls.vertices), cls.true_twin) for cls in classes]
+    stable = _refine_pair(adjacency, kinds, kinds)[0]
+    nodes = 1
+
+    def individualize(colours: list[int], v: int) -> list[int]:
+        # ranks run 0..c-1, so c is a fresh colour on either side
+        marked = list(colours)
+        marked[v] = len(colours)
+        return marked
+
+    def search(left: list[int], right: list[int]) -> list[int] | None:
+        """An automorphism mapping the left colouring onto the right one."""
+        nonlocal nodes
+        if nodes >= budget:
+            raise _OutOfBudget
+        nodes += 1
+        pair = _refine_pair(adjacency, left, right)
+        if pair is None:
+            return None
+        left, right = pair
+        members: dict[int, list[int]] = {}
+        for v, colour in enumerate(right):
+            members.setdefault(colour, []).append(v)
+        cell = next((colour for colour in sorted(members) if len(members[colour]) > 1), None)
+        if cell is None:
+            return [members[colour][0] for colour in left]
+        v = left.index(cell)
+        marked = individualize(left, v)
+        for w in members[cell]:
+            found = search(marked, individualize(right, w))
+            if found is not None:
+                return found
+        return None
+
+    parent = list(range(len(classes)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    try:
+        for target in range(1, len(classes)):
+            if stable[target] != stable[0] or find(target) == find(0):
+                continue
+            sigma = search(individualize(stable, 0), individualize(stable, target))
+            if sigma is None:
+                continue
+            if sorted(sigma) != list(range(len(classes))) or any(
+                kinds[sigma[i]] != kinds[i]
+                or any(sigma[j] not in adjacency[sigma[i]] for j in adjacency[i])
+                for i in range(len(classes))
+            ):
+                raise FairnetError("internal error: refinement mapped a non-automorphism")
+            for i, j in enumerate(sigma):
+                parent[find(i)] = find(j)
+    except _OutOfBudget:
+        pass
+    root = find(0)
+    return tuple(sorted(
+        v for i, cls in enumerate(classes) if find(i) == root for v in cls.vertices
+    ))
 
 
 class Shape(Enum):

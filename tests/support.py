@@ -17,6 +17,7 @@ from fairnet import (
     IntegerProgram,
     IpSolution,
     LabelMultiset,
+    RefusalError,
     VACUOUS,
     complete_bipartite,
     cycle_graph,
@@ -25,11 +26,14 @@ from fairnet import (
     star_graph,
     verify,
 )
+from fairnet.search import SearchTables
+from fairnet.solvers import _oracle_cap
 from fairnet.structure import (
     _adjacency_map,
     _drop_vertex,
     _prune_degree_le1,
     _short_cycle,
+    twin_classes,
 )
 
 BRUTE_N_LIMIT = 8
@@ -476,3 +480,52 @@ def unbounded_minimum_vertex_cover(graph: Graph) -> tuple[int, ...]:
                 _drop_vertex(work, v)
             budget -= 1
     return tuple(chosen)
+
+
+def brute_first_vertex_orbit(graph: Graph) -> set[int]:
+    """The vertices some automorphism maps vertex 0 to, by trying every
+    permutation that sends vertex 0 there (none when the degrees differ)."""
+    n = graph.vertex_count
+    assert n <= BRUTE_N_LIMIT, "brute force reference limited to small graphs"
+    edges = graph.edges()
+    adjacent = [[u in graph.adjacency[v] for u in range(n)] for v in range(n)]
+    orbit = set()
+    for target in range(n):
+        if graph.degree(target) != graph.degree(0):
+            continue
+        rest = [v for v in range(n) if v != target]
+        for perm in itertools.permutations(rest):
+            image = (target, *perm)
+            if all(adjacent[image[u]][image[v]] for u, v in edges):
+                orbit.add(target)
+                break
+    return orbit
+
+
+# The oracle's search tables as they were before the automorphism-orbit
+# floors, copied verbatim (only renamed).  The oracle must return exactly
+# its verdicts, certificates and constants, in no more nodes.
+def reference_oracle_tables(graph: Graph) -> SearchTables:
+    """Exhaustive search over label assignments, pruned by twin symmetry.
+
+    Vertices are labeled in id order, values tried in ascending order, so the
+    first completion is the lexicographically smallest fair assignment.
+    Within a false-twin class labels are required to be non-decreasing by
+    vertex id: sorting inside a class preserves fairness and never increases
+    the assignment vector, hence the lexicographic minimum obeys the
+    restriction and no verdict is lost.  True twins must agree exactly.
+    Every vertex whose neighborhood is fully labeled pins the constant;
+    partially labeled neighborhoods prune via min/max completions.
+    """
+    part = twin_classes(graph)
+    cap = _oracle_cap()
+    if len(part.classes) > cap:
+        raise RefusalError(f"{len(part.classes)} twin classes exceed the search cap {cap}")
+    ties: list[tuple[int, bool] | None] = [None] * graph.vertex_count
+    for cls in part.classes:
+        for a, b in zip(cls.vertices, cls.vertices[1:]):
+            ties[b] = (a, cls.true_twin)
+    adjacency = graph.adjacency
+    return SearchTables(
+        tuple(range(graph.vertex_count)), adjacency, graph.degrees, adjacency, ties=ties
+    )

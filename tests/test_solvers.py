@@ -43,6 +43,7 @@ from support import (
     random_graph,
     random_instance,
     random_labels,
+    reference_oracle_tables,
 )
 from test_structure import NEGATIVE_WEIGHT, ZERO_WEIGHT
 
@@ -422,7 +423,7 @@ class TestEnumerators:
     @pytest.mark.parametrize(
         "family, algo, pinned",
         [
-            ("circulant", "oracle", (False, None, 32576, 0)),
+            ("circulant", "oracle", (False, None, 3052, 0)),
             ("circulant", "vc-alpha", (False, None, 74436, 116)),
             ("circulant", "fvs-alpha-delta", (False, None, 84012, 0)),
             ("3part-k33", "oracle", (True, (1, 3, 5, 2, 3, 4), 9, 0)),
@@ -589,3 +590,91 @@ class TestForcedConstant:
         out = solve_oracle(path_graph(5), S(1, 1, 1, 1, 1))
         assert not out.fair and out.stats.nodes == 0
         assert out.stats.trace == ["no fairness constant"]
+
+    def test_huge_label_range_is_decided_not_refused(self):
+        # the degree interval spans millions of constants, but no constant
+        # is forced: decided without listing the range
+        graph, labels = complete_bipartite(2, 3), S(1, 3, 5, 2000000, 4000000)
+        with pytest.raises(RefusalError, match="too large to enumerate"):
+            fairness_constant_candidates(graph, labels)
+        assert _forced_constant(graph, labels) is None
+        for solver in (solve_auto, solve_vc_alpha, solve_fvs_alpha_delta, solve_oracle):
+            assert not solver(graph, labels).fair
+
+    def test_forced_constant_must_pass_the_candidate_bounds(self):
+        # on P4 a pendant vertex makes the constant a label value
+        graph = path_graph(4)
+        assert _forced_constant(graph, S(1, 2, 3, 4)) == 5
+        assert fairness_constant_candidates(graph, S(1, 2, 3, 4)) == [3, 4]
+        assert _candidates(graph, S(1, 2, 3, 4)) == []
+        assert _candidates(graph, S(1, 1, 1, 3)) == [3]
+        assert _candidates(graph, S(1, 1, 1, 3), 3) == [3]
+        assert _candidates(graph, S(1, 1, 1, 3), 2) == []
+        # forced 5 lies in the degree interval [2, 7] but is no label value
+        assert _forced_constant(graph, S(1, 1, 1, 7)) == 5
+        assert _candidates(graph, S(1, 1, 1, 7)) == []
+        # no pendant vertex: forced 11 lies below the degree interval [12, 15]
+        graph = Graph.from_edges(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4),
+                                     (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)])
+        labels = S(1, 1, 5, 5, 5, 5)
+        assert _forced_constant(graph, labels) == 11
+        assert fairness_constant_candidates(graph, labels) == [12, 13, 14, 15]
+        assert _candidates(graph, labels) == []
+
+
+def _orbit_instances(rng):
+    """Seeded oracle instances: planted fair ones, G(n, 0.5) and 4-regular
+    circulants with repeated labels."""
+    instances = []
+    for i in range(900):
+        if i % 3 == 0:
+            graph, labels, _, _ = constructed_fair(rng, max_n=9)
+        elif i % 3 == 1:
+            n = rng.randint(2, 9)
+            graph, labels = random_graph(rng, n, 0.5), random_labels(rng, n, 6)
+        else:
+            n = rng.randint(6, 9)
+            graph = gen_circulant(n, 4)
+            pool = rng.sample(range(1, 7), 3)
+            labels = S(*(rng.choice(pool) for _ in range(n)))
+            if i % 6 == 2:
+                # repeat a constant-friendly multiset: pairs summing alike
+                low = rng.randint(1, 3)
+                labels = S(*[low, low + 2] * (n // 2) + [low + 1] * (n % 2))
+        instances.append((graph, labels))
+    return instances
+
+
+class TestOrbitFloors:
+    """The orbit floors keep the oracle's outcome, in no more nodes."""
+
+    def test_same_outcomes_as_the_floorless_oracle(self, monkeypatch):
+        rng = random.Random(929)
+        fair_count = saved = 0
+        for graph, labels in _orbit_instances(rng):
+            ours = solve_oracle(graph, labels)
+            constants = oracle_constants(graph, labels)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_oracle_tables", reference_oracle_tables)
+                reference = solve_oracle(graph, labels)
+                reference_constants = oracle_constants(graph, labels)
+            assert ours.verdict == reference.verdict
+            assert ours.certificate == reference.certificate
+            assert constants == reference_constants
+            assert ours.stats.nodes <= reference.stats.nodes
+            fair_count += ours.fair
+            saved += reference.stats.nodes - ours.stats.nodes
+        assert fair_count >= 250
+        assert saved > 0
+
+    def test_every_oracle_path_searches_fewer_nodes(self, monkeypatch):
+        graph, labels = gen_circulant(10, 4), S(*range(1, 11))
+        reached = {
+            "auto": solve_auto(graph, labels).stats.nodes,
+            "regular-fvs": solve_regular_fvs(graph, labels).stats.nodes,
+            "oracle": solve_oracle(graph, labels).stats.nodes,
+        }
+        monkeypatch.setattr(solvers, "_oracle_tables", reference_oracle_tables)
+        before = solve_oracle(graph, labels).stats.nodes
+        assert before == 32576
+        assert reached == dict.fromkeys(reached, 3052)

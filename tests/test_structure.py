@@ -8,6 +8,7 @@ from fairnet import (
     FairnetError,
     Graph,
     InputError,
+    LabelMultiset,
     Shape,
     classify,
     complete_bipartite,
@@ -18,6 +19,7 @@ from fairnet import (
     minimum_feedback_vertex_set,
     minimum_vertex_cover,
     path_graph,
+    solve_oracle,
     star_graph,
     twin_classes,
 )
@@ -38,13 +40,19 @@ from fairnet.structure import (
     _prune_degree_le1,
     _short_cycle,
     component_weights,
+    first_vertex_orbit,
 )
+from fairnet import solvers, structure
+from fairnet.solvers import ORBIT_NODE_BUDGET, _oracle_tables
 from support import (
     _is_acyclic,
+    brute_first_vertex_orbit,
     brute_min_fvs_size,
     brute_min_vc_size,
     gauss_jordan_weights,
     random_graph,
+    random_labels,
+    reference_oracle_tables,
     unbounded_minimum_feedback_vertex_set,
     unbounded_minimum_vertex_cover,
 )
@@ -358,3 +366,140 @@ class TestComponentWeights:
     def test_isolated_vertex_has_no_weight(self):
         g = disjoint_union(path_graph(2), empty_graph(1))
         assert component_weights(g) == [((0, 1), 2), ((2,), None)]
+
+
+def _floored(graph: Graph) -> set[int]:
+    """Vertices outside vertex 0's twin class that the oracle's ties hold at
+    or above vertex 0's label, directly or through earlier ties."""
+    ties = _oracle_tables(graph).ties
+    floored = set()
+    for v in range(1, graph.vertex_count):
+        u = v
+        while ties[u] is not None:
+            u = ties[u][0]
+        if u == 0:
+            floored.add(v)
+    return floored - set(twin_classes(graph).classes[0].vertices)
+
+
+def _random_cubic(rng: random.Random, n: int) -> Graph:
+    """A random 3-regular graph: colour refinement cannot split its
+    vertices, so only the individualization search tells orbits apart."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return Graph.from_edges(n, sorted(edges))
+
+
+def _orbit_graph(rng: random.Random) -> Graph:
+    """A graph on at most 8 vertices, often with twins or symmetry."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return random_graph(rng, rng.randint(1, 8), rng.choice((0.25, 0.4, 0.5, 0.7)))
+    if kind == 1:
+        m = rng.randint(2, 5)
+        base = random_graph(rng, m, rng.choice((0.4, 0.6)))
+        return _with_twins(rng, base, rng.randint(1, 8 - m))
+    if kind == 2:
+        first = rng.choice((path_graph, cycle_graph))(rng.randint(3, 4))
+        second = rng.choice((path_graph, cycle_graph))(rng.randint(3, 4))
+        return disjoint_union(first, second)
+    if kind == 3:
+        a = rng.randint(1, 4)
+        return complete_bipartite(a, rng.randint(1, 8 - a))
+    if kind == 4:
+        n = rng.randint(5, 8)
+        return gen_circulant(n, rng.choice([r for r in (2, 4) if r < n]))
+    return _random_cubic(rng, rng.choice((6, 8)))
+
+
+def _complete(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+PETERSEN = Graph.from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)],
+)
+
+
+class TestFirstVertexOrbit:
+    """The oracle floors only vertices in vertex 0's automorphism orbit."""
+
+    def test_floors_lie_in_the_brute_force_orbit(self):
+        rng = random.Random(53)
+        regular_splits = 0
+        for _ in range(300):
+            g = _orbit_graph(rng)
+            orbit = brute_first_vertex_orbit(g)
+            assert _floored(g) <= orbit
+            found = first_vertex_orbit(g, twin_classes(g), ORBIT_NODE_BUDGET)
+            # the budget does not bind on graphs this small
+            assert set(found) == orbit
+            regular_splits += g.regular_degree() == 3 and len(orbit) < g.vertex_count
+        assert regular_splits >= 10
+
+    @pytest.mark.parametrize(
+        "graph",
+        [cycle_graph(n) for n in range(3, 11)]
+        + [gen_circulant(n, 4) for n in (8, 9, 10)]
+        + [_complete(n) for n in range(2, 9)]
+        + [complete_bipartite(n, n) for n in range(1, 6)]
+        + [PETERSEN],
+        ids=[f"C{n}" for n in range(3, 11)]
+        + [f"circulant{n}" for n in (8, 9, 10)]
+        + [f"K{n}" for n in range(2, 9)]
+        + [f"K{n},{n}" for n in range(1, 6)]
+        + ["petersen"],
+    )
+    def test_floors_equal_the_orbit_on_vertex_transitive_graphs(self, graph):
+        everything = set(range(graph.vertex_count))
+        if graph.vertex_count <= 8:
+            assert brute_first_vertex_orbit(graph) == everything
+        own = set(twin_classes(graph).classes[0].vertices)
+        assert _floored(graph) == everything - own
+
+    def test_no_budget_gives_no_floors_and_the_same_outcome(self, monkeypatch):
+        rng = random.Random(59)
+        instances = [(gen_circulant(10, 4), LabelMultiset.from_iterable(range(1, 11)))]
+        while len(instances) < 150:
+            g = _orbit_graph(rng)
+            if g.vertex_count and g.min_degree():
+                instances.append((g, random_labels(rng, g.vertex_count, 5)))
+        for g, labels in instances:
+            budgeted = solve_oracle(g, labels)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "ORBIT_NODE_BUDGET", 0)
+                own = twin_classes(g).classes[0].vertices
+                assert first_vertex_orbit(g, twin_classes(g), 0) == own
+                assert _oracle_tables(g).ties == reference_oracle_tables(g).ties
+                assert not _floored(g)
+                unbudgeted = solve_oracle(g, labels)
+            assert budgeted.verdict == unbudgeted.verdict
+            assert budgeted.certificate == unbudgeted.certificate
+            assert budgeted.stats.nodes <= unbudgeted.stats.nodes
+
+    def test_budget_cut_keeps_what_was_found(self):
+        g = disjoint_union(*[complete_bipartite(3, 3)] * 3)
+        part = twin_classes(g)
+        orbits = [set(first_vertex_orbit(g, part, budget)) for budget in range(12)]
+        assert orbits[0] == orbits[1] == {0, 1, 2}
+        assert all(a <= b for a, b in zip(orbits, orbits[1:]))
+        assert orbits[-1] == set(range(18))
+
+    def test_non_automorphism_is_an_error(self, monkeypatch):
+        def blind(adjacency, left, right):
+            # one colour for all at first, then a rotation of the path's
+            # vertices, which breaks its edges
+            count = len(adjacency)
+            if left == right:
+                return [0] * count, [0] * count
+            return list(range(count)), [(v - 1) % count for v in range(count)]
+
+        monkeypatch.setattr(structure, "_refine_pair", blind)
+        with pytest.raises(FairnetError, match="non-automorphism"):
+            first_vertex_orbit(path_graph(4), twin_classes(path_graph(4)), 10)
