@@ -9,7 +9,11 @@ enters, where each equation is checked, which forest labels are forced
 along the way and which ties restrict the values.  A tie makes a label
 equal an earlier one (true twins) or not fall below it, a floor: the order
 inside a false-twin class, and the oracle's lex-leader rule that no vertex
-of vertex 0's automorphism orbit takes a smaller label than vertex 0.
+of vertex 0's automorphism orbit takes a smaller label than vertex 0.  An
+integer affine map fixes a position's label from K and earlier labels: the
+oracle's pivot vertices of A l = K 1 (`structure.eliminate`).  A mapped
+position tries its one value and is not counted as a node, so only the
+free positions are searched.
 
 An equation is "the labels fed into it, plus `pending` labels still to
 come, sum to K".  With nothing pending it is checked exactly; otherwise K
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .model import LabelMultiset, SolveStats
+from .structure import PivotMap
 
 # an internal forest vertex and, per child w, the neighbors of w but the vertex
 ForcingStep = tuple[int, tuple[tuple[int, ...], ...]]
@@ -42,6 +47,11 @@ class SearchTables:
     held: per position, how many later labels the ties hold at or above
         its label, directly or through other ties; a value is tried only
         while that many copies at or above it are left besides its own.
+    maps: per position, None or an integer affine map (D, c, ((j, c_j), ...))
+        over vertices labeled at earlier positions: with K given, the
+        position takes the one value (c K - sum of c_j l_j) / D, which must
+        be an integer with a copy left and pass the position's tie and
+        `held` rules, or the branch dies.  Such a position is no node.
     root_checks: equations nothing feeds, checked against the given K
         before the first position.
     """
@@ -53,6 +63,7 @@ class SearchTables:
     forcing_at: Sequence[Sequence[ForcingStep]] = ()
     ties: Sequence[tuple[int, bool] | None] = ()
     held: Sequence[int] = ()
+    maps: Sequence[PivotMap | None] = ()
     root_checks: tuple[int, ...] = ()
 
 
@@ -77,12 +88,28 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
     Without a given K, the first equation checked exactly pins it; forcing
     steps and root checks need a given K.  The yielded list is the live
     search state, valid until the generator resumes.  `stats.nodes` counts
-    each tried (position, value) pair with a copy left.
+    each tried (position, value) pair with a copy left, at positions the
+    maps leave free; maps apply only with a given K.
     """
-    order, feeds, checks_at = tables.order, tables.feeds, tables.checks_at
-    forcing_at = tables.forcing_at or [()] * len(order)
-    ties = tables.ties or [None] * len(order)
-    held = tables.held or [0] * len(order)
+    order, feeds = tables.order, tables.feeds
+    size = len(order)
+    forcing_at = tables.forcing_at or [()] * size
+    ties = tables.ties or [None] * size
+    held = tables.held or [0] * size
+    maps = tables.maps if k is not None and tables.maps else [None] * size
+    # per position, read once per node: the vertex, the equations its label
+    # enters, None or (tie vertex or None, equal, map with c K folded in),
+    # forcing steps, checks, held count, and 0 for a mapped position (no node)
+    slots = []
+    for i, v in enumerate(order):
+        tie, linear = ties[i], maps[i]
+        if linear is not None:
+            scale, weight, terms = linear
+            linear = (scale, weight * k, terms)
+        anchor, equal = tie or (None, False)
+        rule = None if tie is None and linear is None else (anchor, equal, linear)
+        slots.append((v, feeds[v], rule, forcing_at[i], tables.checks_at[i], held[i],
+                      int(linear is None)))
     distinct = labels.distinct_values
     low, high = distinct[0], distinct[-1]
     remaining = dict(labels.counts)  # a plain dict subscripts faster than a Counter
@@ -106,19 +133,27 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
         return forced
 
     def dfs(i: int, k: int | None) -> Iterator[tuple[list[int], int | None]]:
-        if i == len(order):
+        if i == size:
             yield value_of, k
             return
-        v, tie, steps, checks = order[i], ties[i], forcing_at[i], checks_at[i]
-        fed = feeds[v]
-        if tie is None:
+        v, fed, rule, steps, checks, need, tried = slots[i]
+        if rule is None:
             options: Sequence[int] = distinct
-        elif tie[1]:
-            options = (value_of[tie[0]],)
         else:
-            floor = value_of[tie[0]]
-            options = [value for value in distinct if value >= floor]
-        need = held[i]
+            anchor, equal, linear = rule
+            if linear is not None:
+                scale, base, terms = linear
+                value, rest = divmod(base - sum([c * value_of[j] for j, c in terms]), scale)
+                if rest or not remaining.get(value) or anchor is not None and (
+                    value != value_of[anchor] if equal else value < value_of[anchor]
+                ):
+                    return
+                options = (value,)
+            elif equal:
+                options = (value_of[anchor],)
+            else:
+                floor = value_of[anchor]
+                options = [value for value in distinct if value >= floor]
         if need:
             # the largest value with `need` more copies at or above it
             left = 0
@@ -132,7 +167,7 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
         for value in options:
             if remaining[value] == 0:
                 continue
-            stats.nodes += 1
+            stats.nodes += tried
             remaining[value] -= 1
             value_of[v] = value
             forced = force(steps, k) if steps else ()

@@ -11,8 +11,11 @@ multiset sums to 1^T l = x^T A l = K 1^T x, so K = sum(S) / sum_C s_C
 fair labeling and breaks symmetry with it: for an automorphism s, l o s is
 fair whenever l is, so that labeling gives vertex 0 the smallest label of
 its orbit (the lex-leader rule), and the orbit's vertices are floored at
-vertex 0's label.  The dispatcher adds the screens and the closed forms,
-and hands the constant to the strategy it picks.
+vertex 0's label.  With the constant known it labels only the free
+vertices of A l = K 1: the elimination behind the forced constant fixes
+every pivot vertex's label from K and the labels before it.  The
+dispatcher adds the screens and the closed forms, and hands the constant
+to the strategy it picks.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, partial
 from typing import Callable
 
 from .ilp import Allocation, solve_feasible
@@ -42,9 +46,11 @@ from .model import (
 from .search import SearchTables, ordered_search
 from .special import _solve_cycles, enumerate_boundary_extensions, solve_disjoint_stars
 from .structure import (
+    Elimination,
     Shape,
     classify,
     component_weights,
+    eliminate,
     first_vertex_orbit,
     minimum_feedback_vertex_set,
     minimum_vertex_cover,
@@ -103,8 +109,10 @@ def _vacuous_outcome(labels: LabelMultiset, stats: SolveStats) -> SolveOutcome:
     return SolveOutcome.make_fair(cert, stats)
 
 
-def _oracle_tables(graph: Graph) -> SearchTables:
-    """Exhaustive search over label assignments, pruned by symmetry.
+def _oracle_tables(graph: Graph,
+                   elimination: Callable[[], Elimination] | None = None) -> SearchTables:
+    """Exhaustive search over label assignments, pruned by symmetry and by
+    the linear system A l = K 1.
 
     Vertices are labeled in id order, values tried in ascending order, so the
     first completion is the lexicographically smallest fair assignment, and
@@ -119,7 +127,12 @@ def _oracle_tables(graph: Graph) -> SearchTables:
     A vertex whose label the ties hold below h later labels leaves h copies
     at or above it: vertex 0 takes at most the |orbit|-th largest label.
     Every vertex whose neighborhood is fully labeled pins the constant;
-    partially labeled neighborhoods prune via min/max completions.
+    partially labeled neighborhoods prune via min/max completions.  Given
+    the elimination (called past the cap check, so a refusal stays cheap),
+    each pivot vertex gets its `PivotMap`: it involves only free vertices
+    with lower ids, so with K known the pivot's label is fixed when it is
+    reached, and only free vertices are searched.  Two fair labelings first
+    differ at a free vertex, so the first one found is still the smallest.
     """
     part = twin_classes(graph)
     cap = _oracle_cap()
@@ -138,10 +151,14 @@ def _oracle_tables(graph: Graph) -> SearchTables:
         while tie is not None:
             held[tie[0]] += 1
             tie = ties[tie[0]]
+    maps: tuple = ()
+    if elimination:
+        pivots = elimination().pivots
+        maps = tuple(pivots.get(v) for v in range(graph.vertex_count))
     adjacency = graph.adjacency
     return SearchTables(
         tuple(range(graph.vertex_count)), adjacency, graph.degrees, adjacency,
-        ties=ties, held=held,
+        ties=ties, held=held, maps=maps,
     )
 
 
@@ -150,9 +167,9 @@ def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> S
     """Exhaustive exact decision; canonically first certificate.
 
     Searches the requested constant, or else the forced one
-    (`_forced_constant`), the only constant a fair labeling can have.
-    Refuses (rather than guessing) when the twin-class count exceeds the
-    configured cap.
+    (`_forced_constant`), the only constant a fair labeling can have; one
+    elimination serves that constant and the pivot maps.  Refuses (rather
+    than guessing) when the twin-class count exceeds the configured cap.
     """
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
@@ -165,9 +182,11 @@ def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> S
         # an isolated vertex sees 0 while its constrained peers see >= 1
         stats.trace.append("isolated vertex next to constrained vertices")
         return SolveOutcome.make_unfair(stats)
-    tables = _oracle_tables(graph)
+    # run once, and only past the cap check in `_oracle_tables`
+    elimination = cache(partial(eliminate, graph))
+    tables = _oracle_tables(graph, elimination)
     if k is None:
-        k = _forced_constant(graph, labels)
+        k = _forced_constant(graph, labels, elimination())
         if k is None:
             stats.trace.append("no fairness constant")
             return SolveOutcome.make_unfair(stats)
@@ -506,7 +525,8 @@ def _adopt(stats: SolveStats, sub: SolveOutcome) -> SolveOutcome:
     return SolveOutcome(sub.verdict, sub.certificate, stats)
 
 
-def _forced_constant(graph: Graph, labels: LabelMultiset) -> int | None:
+def _forced_constant(graph: Graph, labels: LabelMultiset,
+                     elimination: Elimination | None = None) -> int | None:
     """The one constant a fair labeling can have, or None when there is none.
 
     A fair labeling with constant K gives each component C the label sum
@@ -514,9 +534,10 @@ def _forced_constant(graph: Graph, labels: LabelMultiset) -> int | None:
     the s_C.  K must therefore be that quotient, a positive integer, and each
     K s_C an integer that some |C| labels can sum to: between the sums of
     the |C| smallest and the |C| largest.  A component of degree r has
-    s_C = |C| / r, which gives the regular graphs' r * sum / n.
+    s_C = |C| / r, which gives the regular graphs' r * sum / n.  The
+    weights are read off the elimination when one is given.
     """
-    weights = component_weights(graph)
+    weights = elimination.weights if elimination else component_weights(graph)
     if any(weight is None for _comp, weight in weights):
         return None
     total = sum(weight for _comp, weight in weights)

@@ -1,10 +1,15 @@
-"""Structural analysis: components, twin classes, vertex 0's automorphism
-orbit, shape tags, component weights, exact FVS and VC.
+"""Structural analysis: components, the elimination of A l = K 1, twin
+classes, vertex 0's automorphism orbit, shape tags, exact FVS and VC.
+
+One integer elimination (`eliminate`) gives each component's weight s_C,
+from which the forced constant follows, and each pivot vertex's label as
+an affine map of K and free labels, which the oracle searches through.
 
 The feedback-vertex-set and vertex-cover routines are exact branch-and-bound
-searches meant for the small instances this package targets.  Both return the
-lexicographically smallest minimum solution (compared as sorted id tuples) so
-downstream enumeration stays deterministic.
+searches meant for the small instances this package targets, run on each
+connected component alone.  Both return the lexicographically smallest
+minimum solution (compared as sorted id tuples) so downstream enumeration
+stays deterministic.
 
 Each branch is cut by a lower bound: for FVS the fewest vertex degrees whose
 (degree - 1) values cover the cyclomatic number m - n + c, for VC the size of
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable
 
 from .model import FairnetError, Graph, InputError
@@ -46,47 +52,95 @@ def connected_components(graph: Graph) -> list[tuple[int, ...]]:
     return components
 
 
-def _ones_solution_sum(matrix: list[list[int]]) -> Fraction | None:
-    """1^T x for any x with M x = 1, or None when there is none.
+# a pivot vertex p's equation after elimination: D l_p = c K - sum of c_j l_j
+# over free vertices j < p, stored as (D, c, ((j, c_j), ...)) with D > 0
+PivotMap = tuple[int, int, tuple[tuple[int, int], ...]]
 
-    Fraction-free (Bareiss) elimination of [M | 1] to echelon form over the
-    integers: every entry stays a minor of the augmented matrix, so each
-    division is exact.  With the free variables at 0, D x is integral for D
-    the last pivot (Cramer's rule on the pivot block), so the integer
-    back-substitution divides exactly too and one fraction ends it.
+
+def _cancel(row: list[int], pivot_row: list[int], col: int) -> list[int]:
+    """An integer combination of the two rows that is 0 at col, its entries
+    divided by their gcd."""
+    a, b = pivot_row[col], row[col]
+    common = gcd(a, b)
+    a, b = a // common, b // common
+    out = [a * x - b * y for x, y in zip(row, pivot_row)]
+    common = gcd(*out)
+    if common > 1:
+        out = [x // common for x in out]
+    return out
+
+
+@dataclass(frozen=True)
+class Elimination:
+    """A l = K 1 in reduced form, columns taken from the highest vertex id down.
+
+    weights: each connected component C with s_C = 1^T x for A_C x = 1, or
+        None when A_C x = 1 has no solution (`component_weights`).
+    pivots: per pivot vertex p, its row as a `PivotMap`.  The row is an
+        integer combination of neighborhood equations, so every fair
+        labeling with constant K satisfies it, and it involves only free
+        vertices with lower ids: labeled in id order, a pivot's label is
+        fixed by K and the labels before it.
     """
-    size = len(matrix)
-    rows = [row + [1] for row in matrix]
-    pivots: list[int] = []
-    previous = 1
-    for col in range(size):
-        top = len(pivots)
-        found = next((i for i in range(top, size) if rows[i][col]), None)
-        if found is None:
-            continue
-        rows[top], rows[found] = rows[found], rows[top]
-        pivot_row = rows[top]
-        pivot = pivot_row[col]
-        for i in range(top + 1, size):
-            row = rows[i]
-            factor = row[col]
-            if factor:
-                row[col:] = [
-                    (pivot * a - factor * b) // previous
-                    for a, b in zip(row[col:], pivot_row[col:])
-                ]
-            else:
-                row[col:] = [pivot * a // previous for a in row[col:]]
-        previous = pivot
-        pivots.append(col)
-    if any(rows[i][size] for i in range(len(pivots), size)):
-        return None
-    scaled: dict[int, int] = {}
-    for i in reversed(range(len(pivots))):
-        row = rows[i]
-        rest = previous * row[size] - sum(row[j] * scaled[j] for j in pivots[i + 1:])
-        scaled[pivots[i]] = rest // row[pivots[i]]
-    return Fraction(sum(scaled.values()), previous)
+
+    weights: tuple[tuple[tuple[int, ...], Fraction | None], ...]
+    pivots: dict[int, PivotMap]
+
+
+def eliminate(graph: Graph) -> Elimination:
+    """Gauss-Jordan elimination of [A | 1] over the integers, per component.
+
+    Rows stay lists of coprime integers: cancelling a column combines two
+    rows with integer factors and divides out the gcd, so no fraction
+    arises (fraction-free, as in Bareiss's elimination).  Columns run from
+    the highest vertex id down and each pivot is cancelled from every other
+    row, so the reduced form, and with it each `PivotMap`, is unique.  With
+    the free labels at 0 and K = 1, pivot p takes c / D, so s_C is the sum
+    of c / D over C's pivots; a row left with only a K coefficient means no
+    solution.  Rows of different components never meet, so each component
+    is eliminated alone.
+    """
+    weights = []
+    pivots: dict[int, PivotMap] = {}
+    for comp in connected_components(graph):
+        size = len(comp)
+        index = {v: i for i, v in enumerate(comp)}
+        # one row per distinct neighborhood (false twins repeat an equation):
+        # the neighbors' columns, then the coefficient of K
+        pending = []
+        for nbrs in dict.fromkeys(graph.adjacency[v] for v in comp):
+            row = [0] * size + [1]
+            for u in nbrs:
+                row[index[u]] = 1
+            pending.append(row)
+        reduced: dict[int, list[int]] = {}
+        for col in reversed(range(size)):
+            pivot_row = next((row for row in pending if row[col]), None)
+            if pivot_row is None:
+                continue
+            pending = [
+                _cancel(row, pivot_row, col) if row[col] else row
+                for row in pending
+                if row is not pivot_row
+            ]
+            pending = [row for row in pending if any(row)]
+            for p, row in reduced.items():
+                if row[col]:
+                    reduced[p] = _cancel(row, pivot_row, col)
+            reduced[col] = pivot_row
+        for p, row in reduced.items():
+            if row[p] < 0:
+                row = [-x for x in row]
+            terms = tuple((comp[j], x) for j, x in enumerate(row[:size]) if x and j != p)
+            pivots[comp[p]] = (row[p], row[size], terms)
+        # after the last column a pending row holds only its K coefficient
+        weight = None
+        if not pending:
+            maps = [pivots[comp[p]] for p in reduced]
+            common = lcm(*(scale for scale, _c, _terms in maps))
+            weight = Fraction(sum(c * (common // scale) for scale, c, _terms in maps), common)
+        weights.append((comp, weight))
+    return Elimination(tuple(weights), pivots)
 
 
 def component_weights(graph: Graph) -> list[tuple[tuple[int, ...], Fraction | None]]:
@@ -97,17 +151,9 @@ def component_weights(graph: Graph) -> list[tuple[tuple[int, ...], Fraction | No
     orthogonal to the null space that separates two solutions.  A fair
     labeling l with constant K > 0 solves A_C l_C = K 1, hence the labels C
     receives sum to K s_C, and a component with no solution (s_C None) has
-    no fair labeling with positive labels.
+    no fair labeling with positive labels.  Read off `eliminate`.
     """
-    weights = []
-    for comp in connected_components(graph):
-        index = {v: i for i, v in enumerate(comp)}
-        matrix = [[0] * len(comp) for _ in comp]
-        for v in comp:
-            for u in graph.adjacency[v]:
-                matrix[index[v]][index[u]] = 1
-        weights.append((comp, _ones_solution_sum(matrix)))
-    return weights
+    return list(eliminate(graph).weights)
 
 
 @dataclass(frozen=True)
@@ -454,10 +500,24 @@ def _has_fvs(adj: dict[int, set[int]], budget: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=256)
-def minimum_feedback_vertex_set(graph: Graph) -> tuple[int, ...]:
-    """Exact minimum feedback vertex set, lexicographically smallest on ties."""
-    base = _adjacency_map(graph)
+def _by_component(graph: Graph, solve) -> tuple[int, ...]:
+    """The sorted union of `solve` on each connected component's adjacency map.
+
+    A minimum FVS or VC of a disjoint union is a union of per-component
+    minima, and the union of the lexicographically smallest ones is the
+    smallest: two sets of equal size compare at the smallest element of
+    their symmetric difference, which the other components' parts leave
+    unchanged.
+    """
+    adjacency = _adjacency_map(graph)
+    chosen: list[int] = []
+    for comp in connected_components(graph):
+        chosen.extend(solve({v: adjacency[v] for v in comp}))
+    return tuple(sorted(chosen))
+
+
+def _component_fvs(base: dict[int, set[int]]) -> list[int]:
+    vertices = sorted(base)
     size = 0
     while not _has_fvs({v: set(nbrs) for v, nbrs in base.items()}, size):
         size += 1
@@ -465,7 +525,7 @@ def minimum_feedback_vertex_set(graph: Graph) -> tuple[int, ...]:
     work = base
     _prune_degree_le1(work)
     budget = size
-    for v in range(graph.vertex_count):
+    for v in vertices:
         if budget == 0:
             break
         if v not in work:
@@ -478,7 +538,14 @@ def minimum_feedback_vertex_set(graph: Graph) -> tuple[int, ...]:
             chosen.append(v)
             work = trial
             budget -= 1
-    return tuple(chosen)
+    return chosen
+
+
+@lru_cache(maxsize=256)
+def minimum_feedback_vertex_set(graph: Graph) -> tuple[int, ...]:
+    """Exact minimum feedback vertex set, lexicographically smallest on ties,
+    solved one connected component at a time."""
+    return _by_component(graph, _component_fvs)
 
 
 def _matching_bound(adj: dict[int, set[int]]) -> int:
@@ -526,17 +593,14 @@ def _has_vc(adj: dict[int, set[int]], budget: int) -> bool:
     return _has_vc(skip, budget - len(nbrs))
 
 
-@lru_cache(maxsize=256)
-def minimum_vertex_cover(graph: Graph) -> tuple[int, ...]:
-    """Exact minimum vertex cover, lexicographically smallest on ties."""
-    base = _adjacency_map(graph)
+def _component_vc(base: dict[int, set[int]]) -> list[int]:
     size = 0
     while not _has_vc({v: set(nbrs) for v, nbrs in base.items()}, size):
         size += 1
     chosen: list[int] = []
     work = {v: set(nbrs) for v, nbrs in base.items()}
     budget = size
-    for v in range(graph.vertex_count):
+    for v in sorted(base):
         if budget == 0:
             break
         trial = {w: set(nbrs) for w, nbrs in work.items()}
@@ -547,4 +611,11 @@ def minimum_vertex_cover(graph: Graph) -> tuple[int, ...]:
             if v in work:
                 _drop_vertex(work, v)
             budget -= 1
-    return tuple(chosen)
+    return chosen
+
+
+@lru_cache(maxsize=256)
+def minimum_vertex_cover(graph: Graph) -> tuple[int, ...]:
+    """Exact minimum vertex cover, lexicographically smallest on ties,
+    solved one connected component at a time."""
+    return _by_component(graph, _component_vc)

@@ -27,12 +27,13 @@ from fairnet import (
     verify,
 )
 from fairnet.search import SearchTables
-from fairnet.solvers import _oracle_cap
+from fairnet.solvers import ORBIT_NODE_BUDGET, _oracle_cap
 from fairnet.structure import (
     _adjacency_map,
     _drop_vertex,
     _prune_degree_le1,
     _short_cycle,
+    first_vertex_orbit,
     twin_classes,
 )
 
@@ -528,4 +529,49 @@ def reference_oracle_tables(graph: Graph) -> SearchTables:
     adjacency = graph.adjacency
     return SearchTables(
         tuple(range(graph.vertex_count)), adjacency, graph.degrees, adjacency, ties=ties
+    )
+
+
+# The oracle's search tables as they were before the pivot maps of linear
+# forcing, copied verbatim (only renamed).  The oracle must return exactly
+# its verdicts, certificates and constants, in no more nodes.
+def orbit_oracle_tables(graph: Graph) -> SearchTables:
+    """Exhaustive search over label assignments, pruned by symmetry.
+
+    Vertices are labeled in id order, values tried in ascending order, so the
+    first completion is the lexicographically smallest fair assignment, and
+    a restriction that this assignment obeys loses no verdict.  Within a
+    false-twin class labels are required to be non-decreasing by vertex id:
+    sorting inside a class preserves fairness and never increases the
+    assignment vector.  True twins must agree exactly.  For an automorphism
+    s, l o s is fair whenever l is, so the smallest l has l(0) <= l(s(0)):
+    every vertex of vertex 0's orbit (`first_vertex_orbit`) takes a label
+    no smaller than vertex 0's.  Outside vertex 0's twin class that is a
+    floor on each class's first vertex; the twin ties carry it to the rest.
+    A vertex whose label the ties hold below h later labels leaves h copies
+    at or above it: vertex 0 takes at most the |orbit|-th largest label.
+    Every vertex whose neighborhood is fully labeled pins the constant;
+    partially labeled neighborhoods prune via min/max completions.
+    """
+    part = twin_classes(graph)
+    cap = _oracle_cap()
+    if len(part.classes) > cap:
+        raise RefusalError(f"{len(part.classes)} twin classes exceed the search cap {cap}")
+    ties: list[tuple[int, bool] | None] = [None] * graph.vertex_count
+    for cls in part.classes:
+        for a, b in zip(cls.vertices, cls.vertices[1:]):
+            ties[b] = (a, cls.true_twin)
+    own = part.classes[0].vertices if part.classes else ()
+    for v in first_vertex_orbit(graph, part, ORBIT_NODE_BUDGET):
+        if ties[v] is None and v not in own:
+            ties[v] = (0, False)
+    held = [0] * graph.vertex_count
+    for tie in ties:
+        while tie is not None:
+            held[tie[0]] += 1
+            tie = ties[tie[0]]
+    adjacency = graph.adjacency
+    return SearchTables(
+        tuple(range(graph.vertex_count)), adjacency, graph.degrees, adjacency,
+        ties=ties, held=held,
     )

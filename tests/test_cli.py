@@ -404,3 +404,164 @@ class TestInternalErrors:
         monkeypatch.setattr(cli_mod, "run_algorithm", broken)
         assert main(["solve", put(tmp_path, "c4", C4_TEXT)]) == 70
         assert "internal error" in capsys.readouterr().err
+
+
+# `fairnet solve` stdout on generated instances, without the `nodes` lines
+# (search effort, not part of the answer), with the exit code
+GOLDEN = [    (
+        ['circulant', '--n', '10', '--r', '4'],
+        1,
+        'verdict unfair\n'
+        'n 10\n'
+        'delta 4\n'
+        'alpha 10\n'
+        'fvs 4\n'
+        'vc 7\n'
+        'r 4\n'
+        'strategy regular-fvs\n'
+        'ilp_calls 0\n'
+        'trace regular graph of degree 4\n'
+        'trace regular degree 4, constant 22\n'
+        'trace delegating to exhaustive search\n',
+    ),
+    (
+        ['3part-k33', '--w', '4,3,2,5,1,3'],
+        0,
+        'verdict fair\n'
+        'k 9\n'
+        'cert 1 3 5 2 3 4\n'
+        'n 6\n'
+        'delta 3\n'
+        'alpha 5\n'
+        'fvs 2\n'
+        'vc 3\n'
+        'r 3\n'
+        'strategy regular-fvs\n'
+        'ilp_calls 0\n'
+        'trace regular graph of degree 3\n'
+        'trace regular degree 3, constant 9\n'
+        'trace delegating to exhaustive search\n',
+    ),
+    (
+        ['3part-k33', '--w', '4,3,2,5,1,3,6,2,1,3,3,3'],
+        0,
+        'verdict fair\n'
+        'k 9\n'
+        'cert 1 2 6 1 3 5 2 3 4 3 3 3\n'
+        'n 12\n'
+        'delta 3\n'
+        'alpha 6\n'
+        'fvs 4\n'
+        'vc 6\n'
+        'r 3\n'
+        'strategy regular-fvs\n'
+        'ilp_calls 0\n'
+        'trace regular graph of degree 3\n'
+        'trace regular degree 3, constant 9\n'
+        'trace delegating to exhaustive search\n',
+    ),
+    (
+        ['3part-stars', '--w', '4,3,2,5,1,3,6,2,1,3,3,3'],
+        0,
+        'verdict fair\n'
+        'k 9\n'
+        'cert 9 1 2 6 9 1 3 5 9 2 3 4 9 3 3 3\n'
+        'n 16\n'
+        'delta 3\n'
+        'alpha 7\n'
+        'fvs 0\n'
+        'vc 4\n'
+        'strategy auto\n'
+        'ilp_calls 1\n'
+        'trace disjoint stars; candidates [9]\n'
+        'trace k=9: fair\n',
+    ),
+    (
+        ['semimagic', '--entries', '2,7,6,9,5,1,4,3,8'],
+        0,
+        'verdict fair\n'
+        'k 15\n'
+        'cert 9 5 1 4 3 8 2 7 6 1 1 1 14 14 14\n'
+        'n 15\n'
+        'delta 3\n'
+        'alpha 10\n'
+        'fvs 2\n'
+        'vc 6\n'
+        'strategy vc-alpha\n'
+        'ilp_calls 1\n'
+        'trace candidates [15]\n'
+        'trace strategy vc-alpha (vc 6, boundary 8, est 1000000/100000000)\n'
+        'trace vertex cover size 6\n'
+        'trace k=15: fair\n',
+    ),
+    (
+        ['semimagic', '--entries', '1,2,8,5,7,9,2,5,6'],
+        1,
+        'verdict unfair\n'
+        'n 15\n'
+        'delta 3\n'
+        'alpha 8\n'
+        'fvs 2\n'
+        'vc 6\n'
+        'strategy vc-alpha\n'
+        'ilp_calls 2\n'
+        'trace candidates [15]\n'
+        'trace strategy vc-alpha (vc 6, boundary 8, est 262144/16777216)\n'
+        'trace vertex cover size 6\n'
+        'trace k=15: unfair\n',
+    ),
+    (
+        ['semimagic', '--entries', '4,3,7,2,1,3,4,8,5'],
+        1,
+        'verdict unfair\n'
+        'n 15\n'
+        'delta 3\n'
+        'alpha 8\n'
+        'fvs 2\n'
+        'vc 6\n'
+        'strategy vc-alpha\n'
+        'ilp_calls 0\n'
+        'trace candidates []\n',
+    ),
+    (
+        ['random', '--n', '14', '--p', '0.3', '--maxlabel', '4', '--seed', '1'],
+        1,
+        'verdict unfair\n'
+        'n 14\n'
+        'delta 8\n'
+        'alpha 4\n'
+        'fvs 4\n'
+        'vc 7\n'
+        'strategy auto\n'
+        'ilp_calls 0\n'
+        'trace isolated vertex next to constrained vertices\n',
+    ),
+    (
+        ['random', '--n', '14', '--p', '0.3', '--maxlabel', '4', '--seed', '2'],
+        1,
+        'verdict unfair\n'
+        'n 14\n'
+        'delta 6\n'
+        'alpha 4\n'
+        'fvs 3\n'
+        'vc 6\n'
+        'strategy auto\n'
+        'ilp_calls 0\n'
+        'trace component 0..: pendant vertex in a non-star component\n',
+    ),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "args, code, expected", GOLDEN, ids=[f"{args[0]}-{i}" for i, (args, *_) in enumerate(GOLDEN)]
+    )
+    def test_solve_output_is_pinned(self, tmp_path, capsys, args, code, expected):
+        path = str(tmp_path / "instance")
+        assert main(["generate", *args, "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["solve", path]) == code
+        out = capsys.readouterr().out
+        assert "".join(
+            line for line in out.splitlines(keepends=True) if not line.startswith("nodes ")
+        ) == expected

@@ -36,10 +36,14 @@ from fairnet import (
 )
 from fairnet import solvers
 from fairnet.cli import run_algorithm
+from fairnet.model import SolveStats
+from fairnet.search import SearchTables, ordered_search
 from fairnet.solvers import _candidates, _forced_constant
 from support import (
     brute_force_fair,
     constructed_fair,
+    gauss_jordan_weights,
+    orbit_oracle_tables,
     random_graph,
     random_instance,
     random_labels,
@@ -423,10 +427,10 @@ class TestEnumerators:
     @pytest.mark.parametrize(
         "family, algo, pinned",
         [
-            ("circulant", "oracle", (False, None, 3052, 0)),
+            ("circulant", "oracle", (False, None, 1, 0)),
             ("circulant", "vc-alpha", (False, None, 74436, 116)),
             ("circulant", "fvs-alpha-delta", (False, None, 84012, 0)),
-            ("3part-k33", "oracle", (True, (1, 3, 5, 2, 3, 4), 9, 0)),
+            ("3part-k33", "oracle", (True, (1, 3, 5, 2, 3, 4), 5, 0)),
             ("3part-k33", "vc-alpha", (True, (1, 3, 5, 2, 3, 4), 10, 1)),
             ("3part-k33", "fvs-alpha-delta", (True, (1, 3, 5, 2, 3, 4), 6, 0)),
         ],
@@ -622,6 +626,12 @@ class TestForcedConstant:
         assert _candidates(graph, labels) == []
 
 
+def _use_tables(patch, build):
+    """Make the oracle search the tables `build(graph)` makes, which take no
+    elimination."""
+    patch.setattr(solvers, "_oracle_tables", lambda graph, _elimination=None: build(graph))
+
+
 def _orbit_instances(rng):
     """Seeded oracle instances: planted fair ones, G(n, 0.5) and 4-regular
     circulants with repeated labels."""
@@ -655,7 +665,7 @@ class TestOrbitFloors:
             ours = solve_oracle(graph, labels)
             constants = oracle_constants(graph, labels)
             with monkeypatch.context() as patch:
-                patch.setattr(solvers, "_oracle_tables", reference_oracle_tables)
+                _use_tables(patch, reference_oracle_tables)
                 reference = solve_oracle(graph, labels)
                 reference_constants = oracle_constants(graph, labels)
             assert ours.verdict == reference.verdict
@@ -674,7 +684,139 @@ class TestOrbitFloors:
             "regular-fvs": solve_regular_fvs(graph, labels).stats.nodes,
             "oracle": solve_oracle(graph, labels).stats.nodes,
         }
-        monkeypatch.setattr(solvers, "_oracle_tables", reference_oracle_tables)
+        _use_tables(monkeypatch, reference_oracle_tables)
         before = solve_oracle(graph, labels).stats.nodes
         assert before == 32576
-        assert reached == dict.fromkeys(reached, 3052)
+        assert reached == dict.fromkeys(reached, 1)
+
+
+# the six 3x3 permutation matrices, as the column of each row's one
+_PERMUTATIONS = list(itertools.permutations(range(3)))
+
+
+def _planted_grid(rng):
+    """A shuffled positive sum of permutation matrices: equal line sums."""
+    while True:
+        grid = [0] * 9
+        for perm in _PERMUTATIONS:
+            weight = rng.randint(0, 3)
+            for row, col in enumerate(perm):
+                grid[3 * row + col] += weight
+        if min(grid) >= 1:
+            rng.shuffle(grid)
+            return tuple(grid)
+
+
+def _forcing_instances(rng):
+    """Seeded oracle instances: planted fair ones, 4-regular circulants with
+    repeated labels, 3part-k33 and 3x3 semimagic encodings, and G(n, p)."""
+    instances = []
+    for i in range(900):
+        kind = i % 6
+        if kind == 0:
+            graph, labels, _, _ = constructed_fair(rng, max_n=9)
+        elif kind == 1:
+            n = rng.randint(6, 10)
+            graph = gen_circulant(n, 4)
+            pool = rng.sample(range(1, 7), 3)
+            labels = S(*(rng.choice(pool) for _ in range(n)))
+            if i % 12 == 1:
+                low = rng.randint(1, 3)
+                labels = S(*[low, low + 2] * (n // 2) + [low + 1] * (n % 2))
+        elif kind == 2:
+            m = rng.choice((2, 4))
+            while True:
+                w = tuple(rng.randint(1, 5) for _ in range(3 * m))
+                if sum(w) % m == 0:
+                    break
+            made = gen_3partition_k33(ThreePartitionInstance(w, m))
+            graph, labels = made.graph, made.labels
+        elif kind == 3:
+            entries = (
+                _planted_grid(rng) if i % 12 == 3
+                else tuple(rng.randint(1, 4) for _ in range(9))
+            )
+            made = gen_semimagic(SemiMagicSpec(3, entries))
+            graph, labels = made.graph, made.labels
+        else:
+            n = rng.randint(2, 9)
+            graph = random_graph(rng, n, rng.choice((0.35, 0.5, 0.75)))
+            labels = random_labels(rng, n, 6)
+        instances.append((graph, labels))
+    return instances
+
+
+class TestLinearForcing:
+    """The pivot maps keep the oracle's outcome, in no more nodes."""
+
+    def test_same_outcomes_as_the_orbit_oracle(self, monkeypatch):
+        # semimagic grids have 15 twin classes: lift the cap for both sides
+        monkeypatch.setenv("FAIRNET_ORACLE_CAP", "16")
+        rng = random.Random(1013)
+        fair_count = saved = 0
+        for graph, labels in _forcing_instances(rng):
+            ours = solve_oracle(graph, labels)
+            constants = oracle_constants(graph, labels)
+            with monkeypatch.context() as patch:
+                _use_tables(patch, orbit_oracle_tables)
+                reference = solve_oracle(graph, labels)
+                reference_constants = oracle_constants(graph, labels)
+            assert ours.verdict == reference.verdict
+            assert ours.certificate == reference.certificate
+            assert constants == reference_constants
+            assert ours.stats.nodes <= reference.stats.nodes
+            assert list(solvers.eliminate(graph).weights) == gauss_jordan_weights(graph)
+            fair_count += ours.fair
+            saved += reference.stats.nodes - ours.stats.nodes
+        assert fair_count >= 250
+        assert saved > 0
+
+    def test_one_elimination_per_oracle_solve(self, monkeypatch):
+        calls = []
+        for name in ("eliminate", "component_weights"):
+            original = getattr(solvers, name)
+            monkeypatch.setattr(
+                solvers, name,
+                lambda graph, name=name, original=original: calls.append(name) or original(graph),
+            )
+        made = gen_3partition_k33(ThreePartitionInstance((4, 3, 2, 5, 1, 3), 2))
+        for k in (None, 9):
+            calls.clear()
+            assert solve_oracle(made.graph, made.labels, k).fair
+            assert calls == ["eliminate"]
+
+    def test_refusal_comes_before_the_elimination(self, monkeypatch):
+        def unexpected(graph):
+            raise AssertionError("eliminated before the cap check")
+
+        monkeypatch.setattr(solvers, "eliminate", unexpected)
+        rng = random.Random(5)
+        graph = random_graph(rng, 40, 0.5)
+        with pytest.raises(RefusalError, match="exceed the search cap"):
+            solve_oracle(graph, random_labels(rng, 40, 3))
+
+    def test_a_mapped_position_takes_its_one_value(self):
+        # no equations: l_1 = (K - l_0) / 2 alone decides, for K = 5
+        def run(labels, k, ties=()):
+            tables = SearchTables((0, 1), ((), ()), (), ((), ()), ties=ties,
+                                  maps=(None, (2, 1, ((0, 1),))))
+            stats = SolveStats()
+            found = [tuple(values) for values, _ in ordered_search(tables, labels, stats, k)]
+            return found, stats.nodes
+
+        # l_0 = 2 leaves 3/2, no integer; only the free position is a node
+        assert run(S(1, 2, 3), 5) == ([(1, 2), (3, 1)], 3)
+        # the mapped value obeys the position's floor
+        assert run(S(1, 2, 3), 5, ties=(None, (0, False))) == ([(1, 2)], 3)
+        # and needs a copy left: l_0 = 3 leaves 0
+        assert run(S(1, 1, 3), 3) == ([(1, 1)], 2)
+        # without K the maps are not used
+        found, nodes = run(S(1, 2, 3), None)
+        assert len(found) == 6 and nodes == 9
+
+    def test_constants_are_enumerated_without_maps(self):
+        graph = gen_circulant(10, 4)
+        assert solvers._oracle_tables(graph).maps == ()
+        labels = S(*[1, 3] * 5)
+        assert oracle_constants(graph, labels) == [8]
+        assert solve_oracle(graph, labels).certificate.constant == 8

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -40,6 +41,7 @@ from fairnet.structure import (
     _prune_degree_le1,
     _short_cycle,
     component_weights,
+    eliminate,
     first_vertex_orbit,
 )
 from fairnet import solvers, structure
@@ -49,6 +51,7 @@ from support import (
     brute_first_vertex_orbit,
     brute_min_fvs_size,
     brute_min_vc_size,
+    constructed_fair,
     gauss_jordan_weights,
     random_graph,
     random_labels,
@@ -258,6 +261,18 @@ class TestLowerBounds:
                 g, lambda s: all(u in s or v in s for u, v in edges)
             )
 
+    def test_disjoint_unions_match_the_unbounded_search(self):
+        # solved one component at a time, the union keeps the smallest tuple
+        rng = random.Random(59)
+        for _ in range(150):
+            parts = [
+                random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.8)))
+                for _ in range(rng.randint(2, 3))
+            ]
+            g = disjoint_union(*parts)
+            assert minimum_feedback_vertex_set(g) == unbounded_minimum_feedback_vertex_set(g)
+            assert minimum_vertex_cover(g) == unbounded_minimum_vertex_cover(g)
+
     def test_bounds_never_exceed_the_brute_force_minimum(self):
         rng = random.Random(47)
         for _ in range(150):
@@ -366,6 +381,68 @@ class TestComponentWeights:
     def test_isolated_vertex_has_no_weight(self):
         g = disjoint_union(path_graph(2), empty_graph(1))
         assert component_weights(g) == [((0, 1), 2), ((2,), None)]
+
+
+class TestElimination:
+    """The reduced form of A l = K 1, columns from the highest id down."""
+
+    @staticmethod
+    def _graphs(rng):
+        for _ in range(400):
+            yield _singular_rich_graph(rng)
+        for n in range(5, 11):
+            yield gen_circulant(n, 4)
+        yield gen_semimagic(SemiMagicSpec(3, tuple(range(1, 10)))).graph
+        yield gen_3partition_k33(ThreePartitionInstance((4, 3, 2, 5, 1, 3), 2)).graph
+
+    def test_pivot_rows_are_reduced_and_canonical(self):
+        rng = random.Random(61)
+        for g in self._graphs(rng):
+            pivots = eliminate(g).pivots
+            for p, (scale, constant, terms) in pivots.items():
+                assert scale > 0
+                assert all(j < p and j not in pivots and c for j, c in terms)
+                assert [j for j, _ in terms] == sorted({j for j, _ in terms})
+                assert gcd(scale, constant, *(c for _, c in terms)) == 1
+
+    def test_free_labels_extend_to_every_solution(self):
+        # any free values and K, mapped to the pivots, solve A l = K 1 on
+        # each component with a weight; there is no solution on the others
+        rng = random.Random(67)
+        for g in self._graphs(rng):
+            elimination = eliminate(g)
+            k = rng.randint(1, 9)
+            values: dict[int, Fraction] = {}
+            for v in range(g.vertex_count):
+                if v in elimination.pivots:
+                    scale, constant, terms = elimination.pivots[v]
+                    values[v] = (constant * k - sum(c * values[j] for j, c in terms)) / Fraction(scale)
+                else:
+                    values[v] = Fraction(rng.randint(-5, 5))
+            for comp, weight in elimination.weights:
+                holds = all(sum(values[u] for u in g.adjacency[v]) == k for v in comp)
+                assert holds == (weight is not None)
+                if weight is not None:
+                    free_at_zero = sum(
+                        Fraction(elimination.pivots[v][1], elimination.pivots[v][0])
+                        for v in comp if v in elimination.pivots
+                    )
+                    assert weight == free_at_zero
+
+    def test_fair_labelings_obey_every_pivot_map(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            g, _labels, assignment, k = constructed_fair(rng, max_n=9)
+            for p, (scale, constant, terms) in eliminate(g).pivots.items():
+                assert scale * assignment[p] == constant * k - sum(
+                    c * assignment[j] for j, c in terms
+                )
+
+    def test_circulant_has_one_free_vertex(self):
+        pivots = eliminate(gen_circulant(10, 4)).pivots
+        assert sorted(pivots) == list(range(1, 10))
+        # l_2 = l_0: distinct labels are unfair at once
+        assert pivots[2] == (1, 0, ((0, -1),))
 
 
 def _floored(graph: Graph) -> set[int]:
