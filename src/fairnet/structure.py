@@ -11,11 +11,16 @@ connected component alone.  Both return the lexicographically smallest
 minimum solution (compared as sorted id tuples) so downstream enumeration
 stays deterministic.
 
+A component is a list of int neighbor masks and a branch is one int mask of
+live vertices, so a degree is one popcount and a branch copies nothing.
 Each branch is cut by a lower bound: for FVS the fewest vertex degrees whose
 (degree - 1) values cover the cyclomatic number m - n + c, for VC the size of
-a greedy maximal matching.  A bound only cuts branches that cannot succeed,
-so the sizes, and the tie-breaking of the greedy reconstruction that follows,
-are those of the unbounded search.
+a greedy maximal matching.  FVS branches only on the degree->=3 vertices of
+one cycle of the 2-core, one of which some smallest solution takes.  Each
+decision returns the solution it found, and the greedy reconstruction takes
+a vertex of that witness without searching again.  Bounds, branching rule
+and witnesses only skip work whose answer is known, so the sizes and the
+tuples are those of the unbounded search.
 """
 
 from __future__ import annotations
@@ -388,94 +393,52 @@ def classify(graph: Graph) -> ShapeReport:
     return ShapeReport(shape, r, comps, kinds)
 
 
-def _adjacency_map(graph: Graph) -> dict[int, set[int]]:
-    return {v: set(graph.adjacency[v]) for v in range(graph.vertex_count)}
+def _bits(mask: int) -> Iterable[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _drop_vertex(adj: dict[int, set[int]], v: int) -> None:
-    for u in adj[v]:
-        adj[u].discard(v)
-    del adj[v]
-
-
-def _prune_degree_le1(adj: dict[int, set[int]]) -> None:
-    # vertices of degree <= 1 lie on no cycle and never help an FVS
-    queue = [v for v, nbrs in adj.items() if len(nbrs) <= 1]
+def _two_core(adj: list[int], alive: int, seeds: int) -> int:
+    """alive less, repeatedly, each vertex of live degree <= 1 among seeds and
+    the neighbors of removed vertices; such a vertex is on no cycle.  Seeds
+    alive give the 2-core; after deleting v from a 2-core, v's neighbors do."""
+    queue = [v for v in _bits(seeds & alive) if (adj[v] & alive).bit_count() <= 1]
     while queue:
         v = queue.pop()
-        if v not in adj or len(adj[v]) > 1:
-            continue
-        for u in adj[v]:
-            adj[u].discard(v)
-            if len(adj[u]) <= 1:
-                queue.append(u)
-        del adj[v]
+        if alive >> v & 1:
+            alive ^= 1 << v
+            # degrees only fall, so a queued vertex stays removable
+            queue.extend(u for u in _bits(adj[v] & alive) if (adj[u] & alive).bit_count() <= 1)
+    return alive
 
 
-def _short_cycle(adj: dict[int, set[int]]) -> list[int]:
-    """Some shortest cycle of a graph with minimum degree >= 2."""
-    best: list[int] | None = None
-    for root in sorted(adj):
-        parent = {root: -1}
-        depth = {root: 0}
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            if best is not None and depth[v] * 2 >= len(best):
-                break
-            for u in adj[v]:
-                if u not in depth:
-                    depth[u] = depth[v] + 1
-                    parent[u] = v
-                    queue.append(u)
-                elif parent[v] != u and parent[u] != v:
-                    # walk both endpoints up to their meeting point
-                    pa, pb = v, u
-                    path_a, path_b = [pa], [pb]
-                    while depth[pa] > depth[pb]:
-                        pa = parent[pa]
-                        path_a.append(pa)
-                    while depth[pb] > depth[pa]:
-                        pb = parent[pb]
-                        path_b.append(pb)
-                    while pa != pb:
-                        pa, pb = parent[pa], parent[pb]
-                        path_a.append(pa)
-                        path_b.append(pb)
-                    cycle = path_a + path_b[:-1][::-1]
-                    if len(set(cycle)) == len(cycle):
-                        if best is None or len(cycle) < len(best):
-                            best = cycle
-        if best is not None and len(best) == 3:
-            break
-    if best is None:
-        raise FairnetError("no cycle found despite minimum degree >= 2")
-    return best
-
-
-def _cycle_rank_bound(adj: dict[int, set[int]]) -> int:
-    """A lower bound on the feedback vertex set number.
+def _cycle_rank_bound(adj: list[int], alive: int) -> int:
+    """A lower bound on the feedback vertex set number of the live graph.
 
     The cyclomatic number m - n + c is 0 exactly on forests.  Deleting a
     vertex of degree d lowers it by at most d - 1, and degrees only fall as
     vertices go, so no set smaller than the fewest largest (d - 1) values
     summing to it can be a feedback vertex set.
     """
-    degrees = sorted([len(nbrs) for nbrs in adj.values()], reverse=True)
-    rank = sum(degrees) // 2 - len(degrees)
-    seen: set[int] = set()
-    for start in adj:
-        if start not in seen:
-            rank += 1
-            seen.add(start)
-            stack = [start]
-            while stack:
-                for u in adj[stack.pop()]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
+    degrees = []
+    components = 0
+    rest = alive
+    while rest:
+        components += 1
+        frontier = rest & -rest
+        while frontier:
+            rest ^= frontier
+            reach = 0
+            for v in _bits(frontier):
+                nbrs = adj[v] & alive
+                reach |= nbrs
+                degrees.append(nbrs.bit_count())
+            frontier = reach & rest
+    degrees.sort(reverse=True)
+    rank = sum(degrees) // 2 - len(degrees) + components
     bound = 0
     for degree in degrees:
         if rank <= 0:
@@ -485,137 +448,171 @@ def _cycle_rank_bound(adj: dict[int, set[int]]) -> int:
     return bound
 
 
-def _has_fvs(adj: dict[int, set[int]], budget: int) -> bool:
-    _prune_degree_le1(adj)
-    if not adj:
-        return True
-    if budget < _cycle_rank_bound(adj):
-        return False
-    cycle = _short_cycle(adj)
-    for v in cycle:
-        copy = {w: set(nbrs) for w, nbrs in adj.items()}
-        _drop_vertex(copy, v)
-        if _has_fvs(copy, budget - 1):
-            return True
-    return False
+def _branch_vertices(adj: list[int], alive: int) -> list[int]:
+    """The vertices of degree >= 3 on one cycle of a live graph with minimum
+    degree >= 2, or one vertex of a cycle that has none.
 
-
-def _by_component(graph: Graph, solve) -> tuple[int, ...]:
-    """The sorted union of `solve` on each connected component's adjacency map.
-
-    A minimum FVS or VC of a disjoint union is a union of per-component
-    minima, and the union of the lexicographically smallest ones is the
-    smallest: two sets of equal size compare at the smallest element of
-    their symmetric difference, which the other components' parts leave
-    unchanged.
+    The cycle is a triangle when there is one, else the one closed by the
+    first non-tree edge of a BFS from a vertex of highest degree.  Some
+    smallest FVS takes one of these vertices: every cycle through a degree-2
+    vertex also passes through the nearest degree->=3 vertex along its path,
+    so a solution can swap one for the other, and a cycle of degree-2
+    vertices only is a whole component.
     """
-    adjacency = _adjacency_map(graph)
+    cycle = None
+    for v in _bits(alive):
+        nbrs = adj[v] & alive
+        for u in _bits(nbrs >> v + 1 << v + 1):
+            common = adj[u] & nbrs
+            if common:
+                cycle = [v, u, common.bit_length() - 1]
+                break
+        if cycle:
+            break
+    else:
+        root = max(_bits(alive), key=lambda v: (adj[v] & alive).bit_count(), default=0)
+        parent = {root: root}
+        queue = [root]
+        seen = 1 << root
+        for v in queue:
+            nbrs = adj[v] & alive
+            closing = nbrs & seen & ~(1 << parent[v])
+            if closing:
+                # walk both ends of the non-tree edge up to their meeting point
+                up = [v]
+                while up[-1] != root:
+                    up.append(parent[up[-1]])
+                depth = {w: i for i, w in enumerate(up)}
+                down = [closing.bit_length() - 1]
+                while down[-1] not in depth:
+                    down.append(parent[down[-1]])
+                cycle = up[:depth[down[-1]] + 1] + down[-2::-1]
+                break
+            for u in _bits(nbrs & ~seen):
+                parent[u] = v
+                queue.append(u)
+            seen |= nbrs
+    if cycle is None:
+        raise FairnetError("no cycle found despite minimum degree >= 2")
+    return [v for v in cycle if (adj[v] & alive).bit_count() >= 3] or cycle[:1]
+
+
+def _has_fvs(adj: list[int], alive: int, budget: int) -> int | None:
+    """A feedback vertex set of the live graph, a 2-core, with at most
+    `budget` vertices, as a mask, or None when there is none."""
+    if not alive:
+        return 0
+    if budget < _cycle_rank_bound(adj, alive):
+        return None
+    for v in _branch_vertices(adj, alive):
+        found = _has_fvs(adj, _two_core(adj, alive & ~(1 << v), adj[v]), budget - 1)
+        if found is not None:
+            return found | 1 << v
+    return None
+
+
+def _matching_bound(adj: list[int], alive: int) -> int:
+    """Edges of a greedy maximal matching: a vertex cover takes an end of each."""
+    free = alive
+    edges = 0
+    for v in _bits(alive):
+        mates = adj[v] & free
+        if free >> v & 1 and mates:
+            free ^= 1 << v | mates & -mates
+            edges += 1
+    return edges
+
+
+def _has_vc(adj: list[int], alive: int, budget: int) -> int | None:
+    """A vertex cover of the live graph with at most `budget` vertices, as a
+    mask, or None when there is none."""
+    taken = 0
+    pending = True
+    while pending:
+        pending = False
+        top, v = 1, -1
+        for w in _bits(alive):
+            if not alive >> w & 1:
+                continue
+            nbrs = adj[w] & alive
+            degree = nbrs.bit_count()
+            if degree <= 1:
+                # isolated, or a pendant whose neighbor dominates it: take that
+                pending = True
+                alive ^= 1 << w | nbrs
+                if nbrs:
+                    if budget == 0:
+                        return None
+                    taken |= nbrs
+                    budget -= 1
+            elif degree > top:
+                # after a pass with no change, the first vertex of highest degree
+                top, v = degree, w
+    if not alive:
+        return taken
+    if budget < _matching_bound(adj, alive):
+        return None
+    found = _has_vc(adj, alive & ~(1 << v), budget - 1)
+    if found is not None:
+        return taken | 1 << v | found
+    nbrs = adj[v] & alive
+    if nbrs.bit_count() > budget:
+        return None
+    found = _has_vc(adj, alive & ~(1 << v | nbrs), budget - nbrs.bit_count())
+    return None if found is None else taken | nbrs | found
+
+
+def _non_isolated(adj: list[int], alive: int, seeds: int) -> int:
+    """alive without the seeds it leaves isolated, which no minimum vertex
+    cover takes; with seeds = alive, without every isolated vertex."""
+    return alive & ~sum(1 << v for v in _bits(seeds & alive) if not adj[v] & alive)
+
+
+def _lex_smallest(graph: Graph, has, bound, reduce) -> tuple[int, ...]:
+    """The lexicographically smallest minimum solution, per connected component.
+
+    A component is a list of neighbor masks over its vertices in id order,
+    `reduce`d to the vertices a minimum solution can take.  The size loop
+    starts at the lower `bound` and stops at the first size `has` finds a
+    witness W for.  Then each vertex v in id order is taken when some
+    minimum solution of the graph left takes it: at once when v is in W,
+    since W - v solves the graph without v with one vertex less, else when
+    `has` finds a new W.  The union of the components' smallest minima is
+    the smallest of the whole graph: two sets of equal size compare at the
+    smallest element of their symmetric difference, which the other
+    components' parts leave unchanged.
+    """
     chosen: list[int] = []
     for comp in connected_components(graph):
-        chosen.extend(solve({v: adjacency[v] for v in comp}))
+        index = {v: i for i, v in enumerate(comp)}
+        adj = [sum(1 << index[u] for u in graph.adjacency[v]) for v in comp]
+        full = (1 << len(comp)) - 1
+        alive = reduce(adj, full, full)
+        size = bound(adj, alive)
+        while (witness := has(adj, alive, size)) is None:
+            size += 1
+        for i, v in enumerate(comp):
+            if size == 0:
+                break
+            bit = 1 << i
+            if alive & bit:
+                trial = reduce(adj, alive ^ bit, adj[i])
+                found = witness ^ bit if witness & bit else has(adj, trial, size - 1)
+                if found is not None:
+                    chosen.append(v)
+                    witness = found
+                    alive = trial
+                    size -= 1
     return tuple(sorted(chosen))
-
-
-def _component_fvs(base: dict[int, set[int]]) -> list[int]:
-    vertices = sorted(base)
-    size = 0
-    while not _has_fvs({v: set(nbrs) for v, nbrs in base.items()}, size):
-        size += 1
-    chosen: list[int] = []
-    work = base
-    _prune_degree_le1(work)
-    budget = size
-    for v in vertices:
-        if budget == 0:
-            break
-        if v not in work:
-            # outside the 2-core, so on no cycle: dropping it cannot help
-            continue
-        trial = {w: set(nbrs) for w, nbrs in work.items()}
-        _drop_vertex(trial, v)
-        # the check prunes `trial` to its 2-core, the next work graph
-        if _has_fvs(trial, budget - 1):
-            chosen.append(v)
-            work = trial
-            budget -= 1
-    return chosen
 
 
 @lru_cache(maxsize=256)
 def minimum_feedback_vertex_set(graph: Graph) -> tuple[int, ...]:
-    """Exact minimum feedback vertex set, lexicographically smallest on ties,
-    solved one connected component at a time."""
-    return _by_component(graph, _component_fvs)
-
-
-def _matching_bound(adj: dict[int, set[int]]) -> int:
-    """Edges of a greedy maximal matching: a vertex cover takes an end of each."""
-    matched: set[int] = set()
-    for v, nbrs in adj.items():
-        if v not in matched:
-            for u in nbrs:
-                if u not in matched:
-                    matched.add(u)
-                    matched.add(v)
-                    break
-    return len(matched) // 2
-
-
-def _has_vc(adj: dict[int, set[int]], budget: int) -> bool:
-    while True:
-        isolated = [v for v, nbrs in adj.items() if not nbrs]
-        for v in isolated:
-            del adj[v]
-        pendant = next((v for v, nbrs in adj.items() if len(nbrs) == 1), None)
-        if pendant is None:
-            break
-        # the pendant's neighbor dominates it, take that neighbor
-        if budget == 0:
-            return False
-        u = next(iter(adj[pendant]))
-        _drop_vertex(adj, u)
-        budget -= 1
-    if not adj:
-        return True
-    if budget < _matching_bound(adj):
-        return False
-    v = min(adj, key=lambda w: (-len(adj[w]), w))
-    take = {w: set(nbrs) for w, nbrs in adj.items()}
-    _drop_vertex(take, v)
-    if _has_vc(take, budget - 1):
-        return True
-    nbrs = sorted(adj[v])
-    if len(nbrs) > budget:
-        return False
-    skip = {w: set(ns) for w, ns in adj.items()}
-    for u in nbrs:
-        _drop_vertex(skip, u)
-    return _has_vc(skip, budget - len(nbrs))
-
-
-def _component_vc(base: dict[int, set[int]]) -> list[int]:
-    size = 0
-    while not _has_vc({v: set(nbrs) for v, nbrs in base.items()}, size):
-        size += 1
-    chosen: list[int] = []
-    work = {v: set(nbrs) for v, nbrs in base.items()}
-    budget = size
-    for v in sorted(base):
-        if budget == 0:
-            break
-        trial = {w: set(nbrs) for w, nbrs in work.items()}
-        if v in trial:
-            _drop_vertex(trial, v)
-        if _has_vc(trial, budget - 1):
-            chosen.append(v)
-            if v in work:
-                _drop_vertex(work, v)
-            budget -= 1
-    return chosen
+    """Exact minimum feedback vertex set, lexicographically smallest on ties."""
+    return _lex_smallest(graph, _has_fvs, _cycle_rank_bound, _two_core)
 
 
 @lru_cache(maxsize=256)
 def minimum_vertex_cover(graph: Graph) -> tuple[int, ...]:
-    """Exact minimum vertex cover, lexicographically smallest on ties,
-    solved one connected component at a time."""
-    return _by_component(graph, _component_vc)
+    """Exact minimum vertex cover, lexicographically smallest on ties."""
+    return _lex_smallest(graph, _has_vc, _matching_bound, _non_isolated)

@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 from fairnet import (
+    FairnetError,
     Graph,
     IntegerProgram,
     IpSolution,
@@ -28,14 +29,7 @@ from fairnet import (
 )
 from fairnet.search import SearchTables
 from fairnet.solvers import ORBIT_NODE_BUDGET, _oracle_cap
-from fairnet.structure import (
-    _adjacency_map,
-    _drop_vertex,
-    _prune_degree_le1,
-    _short_cycle,
-    first_vertex_orbit,
-    twin_classes,
-)
+from fairnet.structure import first_vertex_orbit, twin_classes
 
 BRUTE_N_LIMIT = 8
 
@@ -387,6 +381,76 @@ def dense_solve_feasible(program: IntegerProgram) -> IpSolution:
         assert program.check(solution)
         return IpSolution(solution)
     return IpSolution(None)
+
+
+# The dict-of-sets helpers of the exact FVS and VC searches as they were
+# before the bitmask kernels, copied verbatim, so the references below share
+# no code with the searches they check.
+def _adjacency_map(graph: Graph) -> dict[int, set[int]]:
+    return {v: set(graph.adjacency[v]) for v in range(graph.vertex_count)}
+
+
+def _drop_vertex(adj: dict[int, set[int]], v: int) -> None:
+    for u in adj[v]:
+        adj[u].discard(v)
+    del adj[v]
+
+
+def _prune_degree_le1(adj: dict[int, set[int]]) -> None:
+    # vertices of degree <= 1 lie on no cycle and never help an FVS
+    queue = [v for v, nbrs in adj.items() if len(nbrs) <= 1]
+    while queue:
+        v = queue.pop()
+        if v not in adj or len(adj[v]) > 1:
+            continue
+        for u in adj[v]:
+            adj[u].discard(v)
+            if len(adj[u]) <= 1:
+                queue.append(u)
+        del adj[v]
+
+
+def _short_cycle(adj: dict[int, set[int]]) -> list[int]:
+    """Some shortest cycle of a graph with minimum degree >= 2."""
+    best: list[int] | None = None
+    for root in sorted(adj):
+        parent = {root: -1}
+        depth = {root: 0}
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            if best is not None and depth[v] * 2 >= len(best):
+                break
+            for u in adj[v]:
+                if u not in depth:
+                    depth[u] = depth[v] + 1
+                    parent[u] = v
+                    queue.append(u)
+                elif parent[v] != u and parent[u] != v:
+                    # walk both endpoints up to their meeting point
+                    pa, pb = v, u
+                    path_a, path_b = [pa], [pb]
+                    while depth[pa] > depth[pb]:
+                        pa = parent[pa]
+                        path_a.append(pa)
+                    while depth[pb] > depth[pa]:
+                        pb = parent[pb]
+                        path_b.append(pb)
+                    while pa != pb:
+                        pa, pb = parent[pa], parent[pb]
+                        path_a.append(pa)
+                        path_b.append(pb)
+                    cycle = path_a + path_b[:-1][::-1]
+                    if len(set(cycle)) == len(cycle):
+                        if best is None or len(cycle) < len(best):
+                            best = cycle
+        if best is not None and len(best) == 3:
+            break
+    if best is None:
+        raise FairnetError("no cycle found despite minimum degree >= 2")
+    return best
 
 
 # The exact FVS and VC searches as they were before the cyclomatic and

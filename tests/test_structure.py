@@ -35,11 +35,12 @@ from fairnet.reductions import (
     gen_xsat,
 )
 from fairnet.structure import (
-    _adjacency_map,
+    _branch_vertices,
     _cycle_rank_bound,
+    _has_fvs,
+    _has_vc,
     _matching_bound,
-    _prune_degree_le1,
-    _short_cycle,
+    _two_core,
     component_weights,
     eliminate,
     first_vertex_orbit,
@@ -186,7 +187,7 @@ class TestExactFvsVc:
     def test_short_cycle_without_a_cycle_is_an_error(self):
         # raised, not asserted, so it also holds under python -O
         with pytest.raises(FairnetError):
-            _short_cycle({0: {1}, 1: {0}})
+            _branch_vertices([0b10, 0b01], 0b11)
 
     def test_matches_brute_force(self):
         rng = random.Random(23)
@@ -198,6 +199,12 @@ class TestExactFvsVc:
             assert len(vc) == brute_min_vc_size(g)
             cover = set(vc)
             assert all(u in cover or v in cover for u, v in g.edges())
+
+
+def _masks(graph):
+    """The neighbor masks of a graph and the mask of all its vertices."""
+    adj = [sum(1 << u for u in graph.adjacency[v]) for v in range(graph.vertex_count)]
+    return adj, (1 << graph.vertex_count) - 1
 
 
 def _first_minimum(graph, solves):
@@ -278,17 +285,121 @@ class TestLowerBounds:
         for _ in range(150):
             g = random_graph(rng, rng.randint(1, 10), rng.choice((0.25, 0.4, 0.6)))
             fvs, vc = brute_min_fvs_size(g), brute_min_vc_size(g)
-            adj = _adjacency_map(g)
-            assert _matching_bound(adj) <= vc
-            assert _cycle_rank_bound(adj) <= fvs
-            _prune_degree_le1(adj)
-            assert _cycle_rank_bound(adj) <= fvs
+            adj, alive = _masks(g)
+            assert _matching_bound(adj, alive) <= vc
+            assert _cycle_rank_bound(adj, alive) <= fvs
+            assert _cycle_rank_bound(adj, _two_core(adj, alive, alive)) <= fvs
 
     def test_bounds_are_tight_on_disjoint_triangles(self):
         triangles = disjoint_union(*[cycle_graph(3)] * 3)
-        adj = _adjacency_map(triangles)
-        assert _cycle_rank_bound(adj) == 3 == len(minimum_feedback_vertex_set(triangles))
-        assert _matching_bound(adj) == 3
+        adj, alive = _masks(triangles)
+        assert _cycle_rank_bound(adj, alive) == 3 == len(minimum_feedback_vertex_set(triangles))
+        assert _matching_bound(adj, alive) == 3
+
+
+def _subdivided_and_bipartite_graphs():
+    """Semimagic grids (cells subdivide row-column edges), 3part-k33 with
+    m 2-5, and K_{a,b}: many degree-2 vertices, no triangles."""
+    rng = random.Random(71)
+    graphs = [
+        gen_semimagic(SemiMagicSpec(n, tuple(rng.randint(1, 9) for _ in range(n * n)))).graph
+        for n in (3, 3, 4)
+    ]
+    for m in (2, 3, 4, 5):
+        while True:
+            values = tuple(rng.randint(1, 9) for _ in range(3 * m))
+            if sum(values) % m == 0:
+                break
+        graphs.append(gen_3partition_k33(ThreePartitionInstance(values, m)).graph)
+    graphs.extend(complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 7))
+    return graphs
+
+
+def _is_cover(graph, mask):
+    return all(mask >> u & 1 or mask >> v & 1 for u, v in graph.edges())
+
+
+class TestBitsetKernels:
+    """The mask searches against the dict-based unbounded references of
+    `support`, and their witnesses against the definitions."""
+
+    def test_same_tuples_on_dense_graphs(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(8, 16), rng.choice((0.5, 0.7)))
+            assert minimum_feedback_vertex_set(g) == unbounded_minimum_feedback_vertex_set(g)
+            assert minimum_vertex_cover(g) == unbounded_minimum_vertex_cover(g)
+
+    def test_same_tuples_on_subdivided_and_bipartite_families(self):
+        for g in _subdivided_and_bipartite_graphs():
+            assert minimum_feedback_vertex_set(g) == unbounded_minimum_feedback_vertex_set(g)
+            assert minimum_vertex_cover(g) == unbounded_minimum_vertex_cover(g)
+
+    def test_same_tuples_on_disjoint_unions_of_families_and_dense_graphs(self):
+        rng = random.Random(73)
+        pool = [g for g in _subdivided_and_bipartite_graphs() if g.vertex_count <= 10]
+        for _ in range(30):
+            parts = rng.sample(pool, rng.randint(1, 2)) + [
+                random_graph(rng, rng.randint(3, 8), rng.choice((0.5, 0.7)))
+            ]
+            rng.shuffle(parts)
+            g = disjoint_union(*parts)
+            assert minimum_feedback_vertex_set(g) == unbounded_minimum_feedback_vertex_set(g)
+            assert minimum_vertex_cover(g) == unbounded_minimum_vertex_cover(g)
+
+    def test_witnesses_are_solutions_within_their_budget(self):
+        rng = random.Random(79)
+        for _ in range(320):
+            g = random_graph(rng, rng.randint(1, 14), rng.choice((0.15, 0.3, 0.5, 0.7)))
+            adj, alive = _masks(g)
+            core = _two_core(adj, alive, alive)
+            fvs, vc = len(minimum_feedback_vertex_set(g)), len(minimum_vertex_cover(g))
+            for budget in range(fvs, fvs + 3):
+                witness = _has_fvs(adj, core, budget)
+                assert witness is not None and witness.bit_count() <= budget
+                removed = frozenset(v for v in range(g.vertex_count) if witness >> v & 1)
+                assert _is_acyclic(g, removed)
+            for budget in range(vc, vc + 3):
+                witness = _has_vc(adj, alive, budget)
+                assert witness is not None and witness.bit_count() <= budget
+                assert _is_cover(g, witness)
+
+    def test_no_witness_below_the_brute_force_minimum(self):
+        rng = random.Random(83)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 10), rng.choice((0.25, 0.4, 0.6, 0.8)))
+            adj, alive = _masks(g)
+            core = _two_core(adj, alive, alive)
+            fvs, vc = brute_min_fvs_size(g), brute_min_vc_size(g)
+            for budget in range(fvs):
+                assert _has_fvs(adj, core, budget) is None
+            for budget in range(vc):
+                assert _has_vc(adj, alive, budget) is None
+            assert _has_fvs(adj, core, fvs) is not None
+            assert _has_vc(adj, alive, vc) is not None
+
+    def test_some_minimum_fvs_takes_a_branch_vertex(self):
+        # the branching rule: a degree->=3 vertex of the cycle, or any vertex
+        # of a cycle that is a whole component
+        rng = random.Random(89)
+        graphs = [cycle_graph(5), disjoint_union(cycle_graph(4), complete_bipartite(2, 3))]
+        graphs += [random_graph(rng, rng.randint(3, 9), rng.choice((0.3, 0.5))) for _ in range(120)]
+        graphs += [g for g in _subdivided_and_bipartite_graphs() if g.vertex_count <= 9]
+        for g in graphs:
+            adj, alive = _masks(g)
+            core = _two_core(adj, alive, alive)
+            if not core:
+                continue
+            branch = _branch_vertices(adj, core)
+            degrees = [(adj[v] & core).bit_count() for v in branch]
+            assert all(core >> v & 1 for v in branch)
+            assert all(d >= 3 for d in degrees) or (len(branch) == 1 and degrees == [2])
+            size = brute_min_fvs_size(g)
+            assert any(
+                _is_acyclic(g, frozenset(s))
+                for s in itertools.combinations(range(g.vertex_count), size)
+                if set(s) & set(branch)
+            )
 
 
 
