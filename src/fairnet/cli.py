@@ -1,9 +1,9 @@
 """Command line front end: solve, verify, generate, oracle, bench.
 
-Exit codes: 0 fair, 1 unfair, 2 refusal or timeout, 3 input error,
-4 benchmark verdict disagreement.  A verdict is never conflated with an
-error.  All output except benchmark timings is deterministic for identical
-invocations.
+Exit codes: 0 fair, 1 unfair, 2 refusal, timeout, out of memory or
+recursion limit, 3 input error, 4 benchmark verdict disagreement.  A
+verdict is never conflated with an error.  All output except benchmark
+timings is deterministic for identical invocations.
 """
 
 from __future__ import annotations
@@ -352,6 +352,9 @@ def main(argv=None) -> int:
         return EXIT_REFUSED
     except MemoryError:
         print("refused: out of memory", file=sys.stderr)
+        return EXIT_REFUSED
+    except RecursionError:
+        print("refused: recursion limit", file=sys.stderr)
         return EXIT_REFUSED
     except FairnetError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

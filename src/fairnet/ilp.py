@@ -109,7 +109,9 @@ def solve_feasible(program: IntegerProgram) -> IpSolution:
     are pruned against the interval still reachable by their unassigned
     variables.  A zero coefficient leaves a constraint's partial sum and
     reachable interval as the previous level checked them, so the search
-    visits the same nodes as re-checking every constraint would.
+    visits the same nodes as re-checking every constraint would.  The
+    depth-first path lives in arrays, not in Python frames, so the variable
+    count meets no recursion limit.
     """
     variables = program.variables
     nvars = len(variables)
@@ -132,12 +134,13 @@ def solve_feasible(program: IntegerProgram) -> IpSolution:
 
     partial = [0] * len(program.constraints)
     values = [0] * nvars
-
-    def search(idx: int) -> bool:
-        if idx == nvars:
-            return True
+    ranges = [range(v.lower, v.upper + 1) for v in variables]
+    # per variable 0..idx, an iterator over the values it has left to try
+    left = [iter(ranges[0])] if nvars else []
+    idx = 0
+    while idx < nvars:
         touched = rows[idx]
-        for x in range(variables[idx].lower, variables[idx].upper + 1):
+        for x in left[idx]:
             for ci, a, low, high in touched:
                 if not low <= partial[ci] + a * x <= high:
                     break
@@ -145,14 +148,18 @@ def solve_feasible(program: IntegerProgram) -> IpSolution:
                 values[idx] = x
                 for ci, a, _, _ in touched:
                     partial[ci] += a * x
-                if search(idx + 1):
-                    return True
-                for ci, a, _, _ in touched:
-                    partial[ci] -= a * x
-        return False
-
-    if not search(0):
-        return IpSolution(None)
+                idx += 1
+                if idx < nvars:
+                    left.append(iter(ranges[idx]))
+                break
+        else:
+            # exhausted: undo the previous variable, which moves on
+            left.pop()
+            idx -= 1
+            if idx < 0:
+                return IpSolution(None)
+            for ci, a, _, _ in rows[idx]:
+                partial[ci] -= a * values[idx]
     solution = {v.name: x for v, x in zip(variables, values)}
     if not program.check(solution):
         raise FairnetError("integer program solution fails its own re-check")

@@ -14,8 +14,11 @@ its orbit (the lex-leader rule), and the orbit's vertices are floored at
 vertex 0's label.  With the constant known it labels only the free
 vertices of A l = K 1: the elimination behind the forced constant fixes
 every pivot vertex's label from K and the labels before it.  The
-dispatcher adds the screens and the closed forms, and hands the constant
-to the strategy it picks.
+dispatcher adds the screens and the closed forms (disjoint stars, disjoint
+cycles), sends the other regular graphs to the oracle, and hands the
+constant to the strategy it picks.  `solve_regular_fvs` and
+`solve_vc_delta` are names for the dispatcher on a regular graph and for
+the oracle.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ class StrategyTag(Enum):
     ORACLE = "oracle"
     FVS_ALPHA_DELTA = "fvs-alpha-delta"
     VC_ALPHA = "vc-alpha"
-    REGULAR_FVS = "regular-fvs"
     AUTO = "auto"
 
 
@@ -215,16 +217,8 @@ def solve_vc_delta(
 ) -> SolveOutcome:
     """Named pass-through strategy: the vertex count is at most vc * delta
     whenever no vertex is isolated, so exhaustive search is the bounded
-    brute force.  Delegates to the oracle and records the bound."""
-    stats = SolveStats()
-    n = graph.vertex_count
-    if 0 < n <= EXACT_PARAM_LIMIT:
-        vc = len(minimum_vertex_cover(graph))
-        delta = graph.max_degree()
-        stats.trace.append(f"size bound: n={n}, vc*delta={vc * delta}")
-    else:
-        stats.trace.append("size bound not evaluated (graph too large for exact vc)")
-    return _adopt(stats, solve_oracle(graph, labels, k))
+    brute force.  Delegates to the oracle."""
+    return solve_oracle(graph, labels, k)
 
 
 def _pendant_screen(graph: Graph, stats: SolveStats) -> bool:
@@ -262,26 +256,11 @@ def solve_fvs_alpha_delta(
     stats = SolveStats()
     if not constants or _pendant_screen(graph, stats):
         return SolveOutcome.make_unfair(stats)
-    report = classify(graph)
-    star_vertices = [
-        v
-        for comp, kind in zip(report.components, report.component_kinds)
-        if kind == "star"
-        for v in comp
-    ]
-    rest_vertices = sorted(set(range(graph.vertex_count)) - set(star_vertices))
-    if not rest_vertices:
+    g1, ids1, fvs, forest = _non_star_part(graph)
+    if not ids1:
         return _decide(constants, stats, lambda k: solve_disjoint_stars(graph, labels, k))
-
-    if len(rest_vertices) > EXACT_PARAM_LIMIT:
-        raise RefusalError(
-            f"non-star part has {len(rest_vertices)} vertices; exact feedback"
-            f" vertex sets are limited to {EXACT_PARAM_LIMIT}"
-        )
-    g1, ids1 = graph.induced(rest_vertices)
-    g2, ids2 = graph.induced(star_vertices)
-    fvs = minimum_feedback_vertex_set(g1)
-    forest = [v for v in range(g1.vertex_count) if v not in set(fvs)]
+    in_g1 = set(ids1)
+    g2, ids2 = graph.induced(v for v in range(graph.vertex_count) if v not in in_g1)
     stats.trace.append(f"fvs size {len(fvs)} on the non-star part")
 
     def decide(k: int) -> SolveOutcome:
@@ -405,44 +384,13 @@ def solve_vc_alpha(
 def solve_regular_fvs(
     graph: Graph, labels: LabelMultiset, k: int | None = None
 ) -> SolveOutcome:
-    """Exact decision for regular graphs; the constant is forced to r*sum/n.
-
-    Degree 1 forces every label equal to the constant.  Degree 2 decomposes
-    into cycles whose fair labelings are fully characterized (all labels k/2,
-    or a period-4 pattern when the length divides by 4), so distributing the
-    multiset across cycles is a counting program.  Higher degrees fall back
-    to exhaustive search with the constant pinned.  A requested constant
-    other than the forced one is immediately unfair.
-    """
+    """Named entry for regular graphs of positive degree, decided by
+    `solve_auto`: its closed forms for matchings (disjoint stars) and
+    unions of cycles, else the oracle at the forced constant r * sum / n."""
     r = graph.regular_degree()
     if r is None or r < 1:
         raise InputError("solver requires a regular graph of positive degree")
-    n = graph.vertex_count
-    if len(labels) != n:
-        raise InputError("label multiset size does not match the vertex count")
-    if k is not None:
-        require_constant(k)
-    stats = SolveStats()
-    total = r * labels.total()
-    if total % n != 0:
-        stats.trace.append("constant r*sum/n is not an integer")
-        return SolveOutcome.make_unfair(stats)
-    if k is not None and k != total // n:
-        stats.trace.append(f"requested constant {k} differs from forced {total // n}")
-        return SolveOutcome.make_unfair(stats)
-    k = total // n
-    stats.trace.append(f"regular degree {r}, constant {k}")
-
-    if r == 1:
-        if labels.alpha == 1:
-            return certified_outcome(graph, labels, labels.values, k, stats)
-        stats.trace.append("matching edges force equal endpoint labels")
-        return SolveOutcome.make_unfair(stats)
-
-    if r >= 3:
-        stats.trace.append("delegating to exhaustive search")
-        return _adopt(stats, solve_oracle(graph, labels, k=k))
-    return _solve_cycles(graph, labels, k, stats)
+    return solve_auto(graph, labels, k)
 
 
 @dataclass(frozen=True)
@@ -454,12 +402,11 @@ class _GeneralPlan:
     est_fvs: int | None
 
 
-def _plan_general(graph: Graph, labels: LabelMultiset) -> _GeneralPlan:
-    """Pick between the two enumeration strategies by nominal search size."""
-    n = graph.vertex_count
-    if n > EXACT_PARAM_LIMIT:
-        return _GeneralPlan(StrategyTag.ORACLE, None, None, None, None)
-    alpha = labels.alpha
+def _non_star_part(graph: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...], list[int]]:
+    """The subgraph induced outside the star components, the ids of its
+    vertices in `graph`, its minimum feedback vertex set and the forest that
+    set leaves (both in the subgraph's ids).  Refuses when the subgraph is
+    too large for an exact feedback vertex set."""
     report = classify(graph)
     rest = [
         v
@@ -467,10 +414,23 @@ def _plan_general(graph: Graph, labels: LabelMultiset) -> _GeneralPlan:
         if kind != "star"
         for v in comp
     ]
-    g1, _ = graph.induced(rest)
-    fvs = minimum_feedback_vertex_set(g1)
-    fvs_set = set(fvs)
-    forest = [v for v in range(g1.vertex_count) if v not in fvs_set]
+    if len(rest) > EXACT_PARAM_LIMIT:
+        raise RefusalError(
+            f"non-star part has {len(rest)} vertices; exact feedback"
+            f" vertex sets are limited to {EXACT_PARAM_LIMIT}"
+        )
+    part, ids = graph.induced(rest)
+    fvs = minimum_feedback_vertex_set(part)
+    in_fvs = set(fvs)
+    return part, ids, fvs, [v for v in range(part.vertex_count) if v not in in_fvs]
+
+
+def _plan_general(graph: Graph, labels: LabelMultiset) -> _GeneralPlan:
+    """Pick between the two enumeration strategies by nominal search size."""
+    if graph.vertex_count > EXACT_PARAM_LIMIT:
+        return _GeneralPlan(StrategyTag.ORACLE, None, None, None, None)
+    alpha = labels.alpha
+    g1, _, fvs, forest = _non_star_part(graph)
     forest_set = set(forest)
     leaves = sum(
         1
@@ -492,7 +452,8 @@ def parameter_report(graph: Graph, labels: LabelMultiset) -> SolverChoice:
 
     The tag is AUTO when the instance is settled by the dispatcher's own
     screens and closed forms (edgeless, isolated vertices, pendant screen,
-    disjoint stars) rather than by a named strategy.
+    disjoint stars, disjoint cycles) rather than by a named strategy, and
+    ORACLE on the other regular graphs, which the dispatcher hands to it.
     """
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
@@ -506,14 +467,13 @@ def parameter_report(graph: Graph, labels: LabelMultiset) -> SolverChoice:
     else:
         fvs_size = None
         vc_size = None
-    report = classify(graph)
-    throwaway = SolveStats()
-    if report.shape in (Shape.EDGELESS_ONLY, Shape.HAS_ISOLATED_MIXED, Shape.DISJOINT_STARS):
+    shape = classify(graph).shape
+    if shape in (
+        Shape.EDGELESS_ONLY, Shape.HAS_ISOLATED_MIXED, Shape.DISJOINT_STARS, Shape.DISJOINT_CYCLES,
+    ) or _pendant_screen(graph, SolveStats()):
         tag = StrategyTag.AUTO
-    elif _pendant_screen(graph, throwaway):
-        tag = StrategyTag.AUTO
-    elif r is not None and r >= 1:
-        tag = StrategyTag.REGULAR_FVS
+    elif shape is Shape.REGULAR:
+        tag = StrategyTag.ORACLE
     else:
         tag = _plan_general(graph, labels).tag
     return SolverChoice(tag, fvs_size, vc_size, alpha, delta, r)
@@ -636,10 +596,22 @@ def solve_auto(
         stats.trace.append(f"disjoint stars; candidates {candidates}")
         return _decide(candidates, stats, lambda k: solve_disjoint_stars(graph, labels, k))
 
-    r = report.regular_degree
-    if r is not None and r >= 1:
-        stats.trace.append(f"regular graph of degree {r}")
-        return _adopt(stats, solve_regular_fvs(graph, labels, k))
+    if report.shape is Shape.DISJOINT_CYCLES:
+        candidates = _candidates(graph, labels, k)
+        stats.trace.append(f"disjoint cycles; candidates {candidates}")
+        return _decide(
+            candidates, stats, lambda k: _solve_cycles(graph, labels, k, SolveStats())
+        )
+
+    if report.shape is Shape.REGULAR:
+        # degree >= 3; the bounds are the one constant r * sum / n, or empty
+        low, high, _ = constant_bounds(graph, labels)
+        regular = f"regular graph of degree {report.regular_degree}"
+        if low > high or k not in (None, low):
+            stats.trace.append(f"{regular}: no fairness constant")
+            return SolveOutcome.make_unfair(stats)
+        stats.trace.append(f"{regular}, constant {low}: strategy oracle")
+        return _adopt(stats, solve_oracle(graph, labels, k))
 
     candidates = _candidates(graph, labels, k)
     stats.trace.append(f"candidates {candidates}")

@@ -3,8 +3,6 @@
 Facts used here, all elementary consequences of the equal-neighbor-sum
 condition with constant K:
 
-* A star is fair iff K is one of the labels (the center's) and the remaining
-  labels sum to K.
 * On a cycle whose length is not a multiple of 4, alternating the defining
   equations forces every label to K/2.  When the length is a multiple of 4
   the fair labelings are exactly the period-4 patterns (a, b, K-a, K-b).
@@ -13,7 +11,9 @@ condition with constant K:
   program.
 * Across a disjoint union of stars, each center takes K and the leaf sets
   partition the remaining labels into groups of prescribed sizes each summing
-  to K; existence is a small counting program over distinct label values.
+  to K; existence is a small counting program over the groups the remaining
+  labels can fill.  A single star is the case of one group: K is one of the
+  labels (the center's) and the others sum to K.
 * Inside an induced forest, once the labels of the forest's leaves and of its
   outside neighbors are fixed, every internal label is forced bottom-up: the
   neighborhood equation of a child determines its parent.  The boundary
@@ -27,7 +27,6 @@ condition with constant K:
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping
 
 from .build import cycle_graph, star_graph
@@ -57,12 +56,7 @@ def solve_single_star(leaf_count: int, labels: LabelMultiset, k: int) -> SolveOu
         raise InputError("star needs at least one leaf")
     if len(labels) != leaf_count + 1:
         raise InputError("label count must be leaf count plus one")
-    stats = SolveStats()
-    fair = labels.multiplicity(k) >= 1 and labels.total() - k == k
-    if not fair:
-        return SolveOutcome.make_unfair(stats)
-    rest = labels.remove_copies(k, 1)
-    return certified_outcome(star_graph(leaf_count), labels, (k, *rest.values), k, stats)
+    return solve_disjoint_stars(star_graph(leaf_count), labels, k)
 
 
 @timed
@@ -167,6 +161,26 @@ def star_decomposition(graph: Graph) -> list[tuple[int, tuple[int, ...]]]:
     return stars
 
 
+def _leaf_groups(supply: Mapping[int, int], size: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The multisets of `size` values summing to k that `supply` can fill,
+    as sorted tuples in lexicographic order."""
+    values = sorted(v for v, count in supply.items() if count)
+    # (next value index, values taken, slots left, sum left); a tuple with
+    # more copies of a smaller value comes first, so those pop first
+    stack = [(0, (), size, k)]
+    while stack:
+        i, taken, slots, need = stack.pop()
+        if not slots:
+            if not need:
+                yield taken
+        elif i < len(values) and slots * values[i] <= need <= slots * values[-1]:
+            v = values[i]
+            stack.extend(
+                (i + 1, taken + (v,) * c, slots - c, need - c * v)
+                for c in range(min(supply[v], slots, need // v) + 1)
+            )
+
+
 @timed
 def solve_disjoint_stars(graph: Graph, labels: LabelMultiset, k: int) -> SolveOutcome:
     """Decide fairness of a disjoint union of stars via a counting program.
@@ -194,11 +208,7 @@ def solve_disjoint_stars(graph: Graph, labels: LabelMultiset, k: int) -> SolveOu
     allocation = Allocation([
         (
             len(by_size[size]),
-            {
-                combo: Counter(combo)
-                for combo in combinations_with_replacement(leftover.distinct_values, size)
-                if sum(combo) == k
-            },
+            {combo: Counter(combo) for combo in _leaf_groups(leftover.counts, size, k)},
         )
         for size in sizes
     ])

@@ -1,11 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fairnet
 from fairnet import (
     FairnessCertificate,
     FairnetError,
+    Instance,
+    LabelMultiset,
     RefusalError,
     SolveOutcome,
     SolveStats,
+    complete_bipartite,
+    cycle_graph,
+    disjoint_union,
+    star_graph,
+    write_instance,
 )
 from fairnet import cli
 from fairnet.cli import main
@@ -394,6 +407,37 @@ class TestRunAlgorithm:
         assert out.fair and calls == [None]
 
 
+class TestProcessExitCodes:
+    """`python -m fairnet solve` exits with the verdict's or the refusal's
+    code, never with Python's 1 for an uncaught error."""
+
+    @pytest.mark.parametrize(
+        "build, code, stream, first",
+        [
+            # a counting program of 1128 pattern variables
+            (lambda: (disjoint_union(*[cycle_graph(4)] * 24), range(1, 97)), 0, "out", "verdict fair"),
+            # one star whose leaves take 12 distinct labels
+            (lambda: (star_graph(12), [*range(1, 13), 78]), 0, "out", "verdict fair"),
+            # the oracle's nested generators run deeper than the recursion limit
+            (lambda: (complete_bipartite(600, 600), [1] * 1200), 2, "err", "refused: recursion limit"),
+        ],
+        ids=["24xC4", "K1,12", "K600,600"],
+    )
+    def test_exit_code(self, tmp_path, build, code, stream, first):
+        graph, labels = build()
+        path = tmp_path / "instance"
+        path.write_text(
+            write_instance(Instance(graph, LabelMultiset.from_iterable(labels))), encoding="utf-8"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fairnet.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fairnet", "solve", str(path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == code
+        assert (done.stdout if stream == "out" else done.stderr).splitlines()[0] == first
+
+
 class TestInternalErrors:
     def test_unexpected_failure_exits_70(self, tmp_path, capsys, monkeypatch):
         import fairnet.cli as cli_mod
@@ -418,11 +462,9 @@ GOLDEN = [    (
         'fvs 4\n'
         'vc 7\n'
         'r 4\n'
-        'strategy regular-fvs\n'
+        'strategy oracle\n'
         'ilp_calls 0\n'
-        'trace regular graph of degree 4\n'
-        'trace regular degree 4, constant 22\n'
-        'trace delegating to exhaustive search\n',
+        'trace regular graph of degree 4, constant 22: strategy oracle\n',
     ),
     (
         ['3part-k33', '--w', '4,3,2,5,1,3'],
@@ -436,11 +478,9 @@ GOLDEN = [    (
         'fvs 2\n'
         'vc 3\n'
         'r 3\n'
-        'strategy regular-fvs\n'
+        'strategy oracle\n'
         'ilp_calls 0\n'
-        'trace regular graph of degree 3\n'
-        'trace regular degree 3, constant 9\n'
-        'trace delegating to exhaustive search\n',
+        'trace regular graph of degree 3, constant 9: strategy oracle\n',
     ),
     (
         ['3part-k33', '--w', '4,3,2,5,1,3,6,2,1,3,3,3'],
@@ -454,11 +494,9 @@ GOLDEN = [    (
         'fvs 4\n'
         'vc 6\n'
         'r 3\n'
-        'strategy regular-fvs\n'
+        'strategy oracle\n'
         'ilp_calls 0\n'
-        'trace regular graph of degree 3\n'
-        'trace regular degree 3, constant 9\n'
-        'trace delegating to exhaustive search\n',
+        'trace regular graph of degree 3, constant 9: strategy oracle\n',
     ),
     (
         ['3part-stars', '--w', '4,3,2,5,1,3,6,2,1,3,3,3'],

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -15,9 +16,9 @@ from fairnet import (
     solve_feasible,
     solve_vc_alpha,
 )
-from fairnet import solvers
+from fairnet import LabelMultiset, cycle_graph, disjoint_union, solve_auto, solvers, special
 from fairnet.ilp import Allocation
-from support import dense_solve_feasible
+from support import dense_solve_feasible, recursive_solve_feasible
 
 # unfair 3x3 grids on which vc-alpha spends most of its time in the ILP
 SEMIMAGIC_ILP_BOUND = ((1, 2, 8, 5, 7, 9, 2, 5, 6), (4, 3, 7, 2, 1, 3, 4, 8, 5))
@@ -168,6 +169,38 @@ class TestMatchesDenseSearch:
         assert len(programs) == 4
         for program in programs:
             assert solve_feasible(program).assignment == dense_solve_feasible(program).assignment
+
+
+class TestIterativeSearch:
+    """The explicit-stack search returns the recursive search's results."""
+
+    def test_random_sparse_programs(self):
+        rng = random.Random(1317)
+        for _ in range(2000):
+            program = random_sparse_program(rng)
+            expected = recursive_solve_feasible(program).assignment
+            assert solve_feasible(program).assignment == expected
+
+    def test_more_variables_than_python_frames(self, monkeypatch):
+        # 24 disjoint C4 with labels 1..96: 1128 pattern variables
+        programs = []
+
+        def capture(program):
+            programs.append(program)
+            return solve_feasible(program)
+
+        monkeypatch.setattr(special, "solve_feasible", capture)
+        graph = disjoint_union(*[cycle_graph(4)] * 24)
+        assert solve_auto(graph, LabelMultiset.from_iterable(range(1, 97))).fair
+        (program,) = programs
+        assert len(program.variables) == 1128
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + len(program.variables))
+        try:
+            expected = recursive_solve_feasible(program).assignment
+        finally:
+            sys.setrecursionlimit(limit)
+        assert solve_feasible(program).assignment == expected
 
 
 class TestAllocation:

@@ -9,8 +9,10 @@ from fairnet import (
     LabelMultiset,
     RefusalError,
     SemiMagicSpec,
+    Shape,
     StrategyTag,
     ThreePartitionInstance,
+    Verdict,
     XsatFormula,
     complete_bipartite,
     cycle_graph,
@@ -34,7 +36,7 @@ from fairnet import (
     star_graph,
     verify,
 )
-from fairnet import solvers
+from fairnet import solvers, structure
 from fairnet.cli import run_algorithm
 from fairnet.model import SolveStats
 from fairnet.search import SearchTables, ordered_search
@@ -48,6 +50,7 @@ from support import (
     random_instance,
     random_labels,
     reference_oracle_tables,
+    reference_solve_regular_fvs,
 )
 from test_structure import NEGATIVE_WEIGHT, ZERO_WEIGHT
 
@@ -119,9 +122,12 @@ class TestOracle:
 
 class TestVcDelta:
     def test_delegates_with_bound_trace(self):
+        # the bound needs no exact cover: it is the oracle's outcome as is
         out = solve_vc_delta(cycle_graph(4), S(1, 2, 3, 4))
+        reference = solve_oracle(cycle_graph(4), S(1, 2, 3, 4))
         assert out.fair
-        assert any("vc*delta" in line for line in out.stats.trace)
+        assert out.certificate == reference.certificate
+        assert out.stats.trace == reference.stats.trace
 
     def test_pinned(self):
         assert not solve_vc_delta(cycle_graph(4), S(1, 2, 3, 4), k=7).fair
@@ -337,6 +343,13 @@ class TestAuto:
         assert not out.fair
         assert any("pendant" in line for line in out.stats.trace)
 
+    def test_regular_requested_constant_is_unfair_at_once(self):
+        # the one constant of C10(1,2) with labels 1..10 is 4 * 55 / 10 = 22
+        for k in (21, 23):
+            out = solve_auto(gen_circulant(10, 4), S(*range(1, 11)), k)
+            assert not out.fair and out.stats.nodes == 0
+            assert out.stats.trace == ["regular graph of degree 4: no fairness constant"]
+
     def test_star_route(self):
         g = disjoint_union(star_graph(3), star_graph(3))
         labels = S(1, 2, 3, 1, 2, 3, 6, 6)
@@ -402,7 +415,7 @@ class TestAuto:
 class TestParameterReport:
     def test_cycle(self):
         choice = parameter_report(cycle_graph(4), S(1, 2, 3, 4))
-        assert choice.tag is StrategyTag.REGULAR_FVS
+        assert choice.tag is StrategyTag.AUTO
         assert choice.fvs == 1 and choice.vc == 2
         assert choice.delta == 2 and choice.alpha == 4 and choice.regular == 2
 
@@ -820,3 +833,139 @@ class TestLinearForcing:
         labels = S(*[1, 3] * 5)
         assert oracle_constants(graph, labels) == [8]
         assert solve_oracle(graph, labels).certificate.constant == 8
+
+
+def _regular_instances(rng):
+    """Seeded regular instances: perfect matchings, unions of cycles of
+    length 3-9, 4-regular circulants with repeated labels, unions of K3,3
+    and K_{a,a}; about a third planted fair."""
+    instances = []
+    for i in range(1000):
+        family = i % 5
+        if family == 0:
+            pairs = rng.randint(1, 5)
+            graph = disjoint_union(*[path_graph(2)] * pairs)
+            fair = [rng.randint(1, 4)] * (2 * pairs)
+        elif family == 1:
+            lengths = [rng.randint(3, 9) for _ in range(rng.randint(1, 3))]
+            graph = disjoint_union(*(cycle_graph(n) for n in lengths))
+            # a cycle whose length is not a multiple of 4 takes k/2 throughout
+            k = 2 * rng.randint(1, 4) if any(n % 4 for n in lengths) else rng.randint(2, 8)
+            fair = []
+            for n in lengths:
+                a, b = rng.randint(1, k - 1), rng.randint(1, k - 1)
+                fair += [k // 2] * n if n % 4 else [a, b, k - a, k - b] * (n // 4)
+        elif family == 2:
+            n = rng.randint(6, 10)
+            graph = gen_circulant(n, 4)
+            low = rng.randint(1, 3)
+            fair = [low] * n
+        elif family == 3:
+            copies = rng.randint(1, 2)
+            graph = disjoint_union(*[complete_bipartite(3, 3)] * copies)
+            fair = []
+            for _ in range(copies):
+                left = [rng.randint(1, 3) for _ in range(3)]
+                fair += left + rng.sample(left, 3)
+        else:
+            a = rng.randint(1, 5)
+            graph = complete_bipartite(a, a)
+            fair = [rng.randint(1, 3)] * a * 2
+        n = graph.vertex_count
+        if i % 3 == 0:
+            labels = S(*fair)
+        else:
+            pool = rng.sample(range(1, 7), rng.randint(1, 4))
+            labels = S(*(rng.choice(pool) for _ in range(n)))
+        instances.append((graph, labels))
+    return instances
+
+
+def _outcome(solver, *args):
+    try:
+        out = solver(*args)
+    except RefusalError:
+        return "refused"
+    return out.verdict, out.certificate
+
+
+class TestRegularRouting:
+    """The dispatcher's routes for regular graphs keep the outcomes of the
+    removed `solve_regular_fvs` branches."""
+
+    def test_same_outcomes_as_the_reference(self):
+        rng = random.Random(1313)
+        fair = requested = 0
+        for graph, labels in _regular_instances(rng):
+            forced = graph.regular_degree() * labels.total() // graph.vertex_count
+            for k in (None, max(1, forced + rng.choice((-1, 0, 0, 1)))):
+                reference = _outcome(reference_solve_regular_fvs, graph, labels, k)
+                assert _outcome(solve_auto, graph, labels, k) == reference
+                assert _outcome(solve_regular_fvs, graph, labels, k) == reference
+                fair += reference[0] is Verdict.FAIR
+                requested += k is not None
+        assert fair >= 400
+        assert requested == 1000
+
+
+_NAMED = {
+    "solve_oracle": StrategyTag.ORACLE,
+    "solve_vc_alpha": StrategyTag.VC_ALPHA,
+    "solve_fvs_alpha_delta": StrategyTag.FVS_ALPHA_DELTA,
+}
+
+
+class TestReportNamesWhatRan:
+    """`parameter_report(...).tag` names the strategy `solve_auto` ran."""
+
+    def _instances(self, rng):
+        instances = _regular_instances(rng)[::4]
+        for _ in range(300):
+            instances.append(random_instance(rng, max_n=9))
+            graph, labels, _, _ = constructed_fair(rng, max_n=9)
+            instances.append((graph, labels))
+            # a long cycle with one chord: its forest boundary beats its cover
+            n = rng.randint(8, 12)
+            chorded = Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)] + [(0, n // 2)])
+            instances.append((chorded, random_labels(rng, n, 6, alpha_cap=3)))
+        for w in ((4, 3, 2, 5, 1, 3), (5, 5, 1, 4, 3, 7, 2, 1, 3, 4, 8, 5)):
+            made = gen_3partition_stars(ThreePartitionInstance(w, len(w) // 3))
+            instances.append((made.graph, made.labels))
+        for entries in ((2, 7, 6, 9, 5, 1, 4, 3, 8), (1, 2, 8, 5, 7, 9, 2, 5, 6)):
+            made = gen_semimagic(SemiMagicSpec(3, entries))
+            instances.append((made.graph, made.labels))
+        return instances
+
+    def test_tag_is_the_strategy_that_ran(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(solvers, name)
+
+            def run(*args):
+                calls.append(name)
+                return real(*args)
+
+            return run
+
+        for name in _NAMED:
+            monkeypatch.setattr(solvers, name, spy(name))
+        shapes = set()
+        ran = set()
+        for graph, labels in self._instances(random.Random(1314)):
+            calls.clear()
+            outcome = solve_auto(graph, labels)
+            tag = parameter_report(graph, labels).tag
+            if calls:
+                assert tag is _NAMED[calls[0]]
+                ran.add(tag)
+            else:
+                # a closed form or a screen settled it, or no constant survived
+                assert tag is StrategyTag.AUTO or outcome.stats.trace[-1] in (
+                    "candidates []", f"regular graph of degree {graph.regular_degree()}:"
+                    " no fairness constant",
+                )
+            shapes.add(structure.classify(graph).shape)
+        assert shapes == set(Shape)
+        assert ran == set(_NAMED.values())
+

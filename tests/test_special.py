@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -21,6 +22,7 @@ from fairnet import (
     star_graph,
     verify,
 )
+from fairnet.special import _leaf_groups
 from support import (
     brute_boundary_extensions,
     brute_force_fair,
@@ -28,6 +30,8 @@ from support import (
     random_graph,
     random_induced_forest,
     random_labels,
+    reference_solve_disjoint_stars,
+    reference_solve_single_star,
 )
 
 
@@ -60,6 +64,31 @@ class TestSingleStar:
             solve_single_star(2, S(1, 2), 3)
         with pytest.raises(InputError):
             solve_single_star(2, S(1, 2, 3), 0)
+
+
+    def test_same_outcomes_as_the_reference(self):
+        rng = random.Random(1315)
+        fair = 0
+        for _ in range(600):
+            leaves = rng.randint(1, 8)
+            values = [rng.randint(1, 4) for _ in range(leaves)]
+            if rng.random() < 0.5:
+                labels = S(sum(values), *values)
+            else:
+                labels = random_labels(rng, leaves + 1, 9)
+            for k in {sum(values), rng.choice(labels.values), rng.randint(1, 12)}:
+                out = solve_single_star(leaves, labels, k)
+                reference = reference_solve_single_star(leaves, labels, k)
+                assert (out.verdict, out.certificate) == (reference.verdict, reference.certificate)
+                fair += out.fair
+        assert fair >= 250
+
+    def test_distinct_leaves(self):
+        # every leaf group but one is short of copies: nothing else is listed
+        for leaves in (10, 12):
+            values = tuple(range(1, leaves + 1))
+            out = solve_single_star(leaves, S(*values, sum(values)), sum(values))
+            assert out.certificate.labels == (sum(values), *values)
 
 
 class TestCycle:
@@ -122,6 +151,18 @@ class TestStarDecomposition:
 
 
 class TestDisjointStars:
+    def test_leaf_groups_are_the_combinations_the_supply_fills(self):
+        rng = random.Random(1318)
+        for _ in range(400):
+            supply = Counter(rng.randint(1, 6) for _ in range(rng.randint(1, 8)))
+            size, k = rng.randint(1, 4), rng.randint(1, 14)
+            expected = [
+                combo
+                for combo in combinations_with_replacement(sorted(supply), size)
+                if sum(combo) == k and all(combo.count(v) <= supply[v] for v in combo)
+            ]
+            assert list(_leaf_groups(supply, size, k)) == expected
+
     def test_two_stars_fair(self):
         g = disjoint_union(star_graph(3), star_graph(3))
         labels = S(1, 2, 3, 1, 2, 3, 6, 6)
@@ -168,6 +209,28 @@ class TestDisjointStars:
                 if solve_disjoint_stars(g, labels, k).fair
             }
             assert got == constants
+
+    def test_same_outcomes_as_the_reference(self):
+        rng = random.Random(1316)
+        fair = 0
+        for _ in range(400):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            graph = disjoint_union(*(star_graph(size) for size in sizes))
+            if rng.random() < 0.5:
+                k = rng.randint(4, 8)
+                labels = [k] * len(sizes)
+                for size in sizes:
+                    cuts = sorted(rng.sample(range(1, k), size - 1))
+                    labels += [b - a for a, b in zip([0, *cuts], [*cuts, k])]
+                labels = S(*labels)
+            else:
+                labels = random_labels(rng, graph.vertex_count, 6)
+                k = rng.choice(labels.values)
+            out = solve_disjoint_stars(graph, labels, k)
+            reference = reference_solve_disjoint_stars(graph, labels, k)
+            assert (out.verdict, out.certificate) == (reference.verdict, reference.certificate)
+            fair += out.fair
+        assert fair >= 150
 
     def test_rejects_non_star_graph(self):
         with pytest.raises(InputError):
