@@ -275,7 +275,8 @@ def cmd_bench(args) -> int:
                 nodes = outcome.stats.nodes
                 ilp = outcome.stats.ilp_calls
                 verdicts.add(verdict)
-            except RefusalError:
+            except (RefusalError, MemoryError, RecursionError):
+                # main refuses these too, but a bench row keeps the run going
                 verdict, nodes, ilp = "refused", "-", "-"
             except InputError:
                 verdict, nodes, ilp = "error", "-", "-"

@@ -68,6 +68,8 @@ class Graph:
 
     def __post_init__(self):
         n = len(self.adjacency)
+        # per vertex, the vertices listing it, in increasing order
+        transposed: list[list[int]] = [[] for _ in range(n)]
         for v, nbrs in enumerate(self.adjacency):
             prev = -1
             for u in nbrs:
@@ -78,10 +80,14 @@ class Graph:
                 if u <= prev:
                     raise InputError(f"adjacency of {v} not strictly increasing")
                 prev = u
-        for v, nbrs in enumerate(self.adjacency):
-            for u in nbrs:
-                if v not in self.adjacency[u]:
-                    raise InputError(f"edge ({v}, {u}) is not symmetric")
+                transposed[u].append(v)
+        # symmetric exactly when each list equals its transpose; only then
+        # is the first one-sided edge searched for, to name it
+        if any(tuple(listing) != nbrs for listing, nbrs in zip(transposed, self.adjacency)):
+            for v, nbrs in enumerate(self.adjacency):
+                for u in nbrs:
+                    if v not in self.adjacency[u]:
+                        raise InputError(f"edge ({v}, {u}) is not symmetric")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

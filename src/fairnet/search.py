@@ -11,9 +11,10 @@ equal an earlier one (true twins) or not fall below it, a floor: the order
 inside a false-twin class, and the oracle's lex-leader rule that no vertex
 of vertex 0's automorphism orbit takes a smaller label than vertex 0.  An
 integer affine map fixes a position's label from K and earlier labels: the
-oracle's pivot vertices of A l = K 1 (`structure.eliminate`).  A mapped
-position tries its one value and is not counted as a node, so only the
-free positions are searched.
+pivot vertices of A l = K 1 in the enumerator's labeling order
+(`structure.eliminate`), in the oracle and in the forest-boundary
+enumeration.  A mapped position tries its one value and is not counted as
+a node, so only the free positions are searched.
 
 An equation is "the labels fed into it, plus `pending` labels still to
 come, sum to K".  With nothing pending it is checked exactly; otherwise K

@@ -13,12 +13,13 @@ fair whenever l is, so that labeling gives vertex 0 the smallest label of
 its orbit (the lex-leader rule), and the orbit's vertices are floored at
 vertex 0's label.  With the constant known it labels only the free
 vertices of A l = K 1: the elimination behind the forced constant fixes
-every pivot vertex's label from K and the labels before it.  The
-dispatcher adds the screens and the closed forms (disjoint stars, disjoint
-cycles), sends the other regular graphs to the oracle, and hands the
-constant to the strategy it picks.  `solve_regular_fvs` and
-`solve_vc_delta` are names for the dispatcher on a regular graph and for
-the oracle.
+every pivot vertex's label from K and the labels before it, and the
+forest-boundary enumeration of fvs-alpha-delta does the same in its own
+labeling order.  The dispatcher adds the screens and the closed forms
+(disjoint stars, disjoint cycles), sends the other regular graphs to the
+oracle, and hands the constant to the strategy it picks.
+`solve_regular_fvs` and `solve_vc_delta` are names for the dispatcher on
+a regular graph and for the oracle.
 """
 
 from __future__ import annotations
@@ -248,9 +249,10 @@ def solve_fvs_alpha_delta(
 
     Star components are split off and settled by the counting program; the
     rest is decided by enumerating labels over the feedback set plus the
-    forest leaves, forcing all interior forest labels, and keeping exactly
-    the assignments that satisfy every equation with leftover labels for the
-    stars.  The requested constant, or else the forced one, is decided.
+    forest leaves, forcing all interior forest labels and the boundary's
+    pivot labels of A l = K 1, and keeping exactly the assignments that
+    satisfy every equation with leftover labels for the stars.  The
+    requested constant, or else the forced one, is decided.
     """
     constants = _constants(graph, labels, k)
     stats = SolveStats()

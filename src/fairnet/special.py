@@ -22,6 +22,12 @@ condition with constant K:
   last input is labeled, so it yields only extensions that satisfy every
   equation they fully label, in the same order as filtering whole boundary
   labelings would.
+* When the boundary and the forest cover the graph, every equation is
+  checked, so every yielded labeling solves A l = K 1.  Eliminated with the
+  forest's columns first and the boundary's from its last position to its
+  first, each boundary pivot's label is an integer affine map of K and the
+  free boundary labels before it; the search gives it that one value, so
+  the stream is unchanged and only the free boundary vertices are searched.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .model import (
     timed,
 )
 from .search import ForcingStep, SearchTables, _forced_value, ordered_search
-from .structure import connected_components
+from .structure import PivotMap, connected_components, eliminate
 
 PartialAssignment = dict[int, int]
 
@@ -382,8 +388,10 @@ def enumerate_boundary_extensions(
     the position of the last domain vertex its forcing steps or its root
     equation read, and an equation is checked exactly once its last neighbor
     is labeled, and against the min/max completion of its pending neighbors
-    before that.  `stats.nodes` counts each tried (domain vertex, value)
-    pair with a copy left.
+    before that.  When the domain and the forest cover the graph, each
+    domain pivot of A l = K 1 (`structure.eliminate` in the domain's order)
+    takes the one value its map gives.  `stats.nodes` counts each tried
+    (domain vertex, value) pair with a copy left at the free positions.
     """
     require_constant(k)
     extender = ForestExtender(graph, forest_vertices)
@@ -412,12 +420,18 @@ def enumerate_boundary_extensions(
         forcing_at[trigger].extend(steps)
         for v, _ in steps:
             touched_at[trigger].update(feeds[v])
+    maps: list[PivotMap | None] = []
+    if len(known) == graph.vertex_count:
+        # every equation is checked, so each map holds on all that is yielded
+        pivots = eliminate(graph, domain).pivots
+        maps = [pivots.get(v) for v in domain]
     tables = SearchTables(
         tuple(domain),
         feeds,
         graph.degrees,
         [tuple(sorted(touched)) for touched in touched_at],
         forcing_at=forcing_at,
+        maps=maps,
         # an isolated vertex sees 0, never the positive K
         root_checks=tuple(u for u in sorted(checked) if not adjacency[u]),
     )

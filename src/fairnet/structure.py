@@ -3,7 +3,10 @@ classes, vertex 0's automorphism orbit, shape tags, exact FVS and VC.
 
 One integer elimination (`eliminate`) gives each component's weight s_C,
 from which the forced constant follows, and each pivot vertex's label as
-an affine map of K and free labels, which the oracle searches through.
+an affine map of K and free labels.  It takes the order a search labels
+vertices in, so that each pivot's map reads only labels placed before it:
+the oracle's order (vertex ids) and the forest-boundary enumeration's
+(the forest first, then the boundary) both search the free vertices only.
 
 The feedback-vertex-set and vertex-cover routines are exact branch-and-bound
 searches meant for the small instances this package targets, run on each
@@ -58,7 +61,8 @@ def connected_components(graph: Graph) -> list[tuple[int, ...]]:
 
 
 # a pivot vertex p's equation after elimination: D l_p = c K - sum of c_j l_j
-# over free vertices j < p, stored as (D, c, ((j, c_j), ...)) with D > 0
+# over free vertices j labeled before p, stored as (D, c, ((j, c_j), ...))
+# with D > 0
 PivotMap = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
@@ -77,34 +81,42 @@ def _cancel(row: list[int], pivot_row: list[int], col: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Elimination:
-    """A l = K 1 in reduced form, columns taken from the highest vertex id down.
+    """A l = K 1 in reduced form for one labeling order.
 
     weights: each connected component C with s_C = 1^T x for A_C x = 1, or
         None when A_C x = 1 has no solution (`component_weights`).
     pivots: per pivot vertex p, its row as a `PivotMap`.  The row is an
         integer combination of neighborhood equations, so every fair
-        labeling with constant K satisfies it, and it involves only free
-        vertices with lower ids: labeled in id order, a pivot's label is
-        fixed by K and the labels before it.
+        labeling with constant K satisfies it.  A pivot in the order
+        involves only free vertices at earlier positions: labeled in that
+        order, its label is fixed by K and the labels before it.
     """
 
     weights: tuple[tuple[tuple[int, ...], Fraction | None], ...]
     pivots: dict[int, PivotMap]
 
 
-def eliminate(graph: Graph) -> Elimination:
+def eliminate(graph: Graph, order: Iterable[int] | None = None) -> Elimination:
     """Gauss-Jordan elimination of [A | 1] over the integers, per component.
 
     Rows stay lists of coprime integers: cancelling a column combines two
     rows with integer factors and divides out the gcd, so no fraction
-    arises (fraction-free, as in Bareiss's elimination).  Columns run from
-    the highest vertex id down and each pivot is cancelled from every other
-    row, so the reduced form, and with it each `PivotMap`, is unique.  With
-    the free labels at 0 and K = 1, pivot p takes c / D, so s_C is the sum
-    of c / D over C's pivots; a row left with only a K coefficient means no
-    solution.  Rows of different components never meet, so each component
-    is eliminated alone.
+    arises (fraction-free, as in Bareiss's elimination).  The columns of
+    vertices outside the labeling order (default: all vertices by id) go
+    first, then the order's from its last position to its first.  Each
+    pivot is cancelled from every other row, so the reduced form, and with
+    it each `PivotMap`, is unique, and a pivot row is zero on every column
+    taken before its own: a pivot in the order involves only free vertices
+    at earlier positions.  With free labels at 0 and K = 1, pivot p takes
+    c / D, so s_C is the sum of c / D over C's pivots; a row left with only
+    a K coefficient means no solution.  Rows of different components never
+    meet, so each component is eliminated alone.
     """
+    n = graph.vertex_count
+    # columns go by descending rank: a position's index, n + id outside
+    rank = [n + v for v in range(n)]
+    for i, v in enumerate(range(n) if order is None else order):
+        rank[v] = i
     weights = []
     pivots: dict[int, PivotMap] = {}
     for comp in connected_components(graph):
@@ -119,7 +131,7 @@ def eliminate(graph: Graph) -> Elimination:
                 row[index[u]] = 1
             pending.append(row)
         reduced: dict[int, list[int]] = {}
-        for col in reversed(range(size)):
+        for col in sorted(range(size), key=lambda i: rank[comp[i]], reverse=True):
             pivot_row = next((row for row in pending if row[col]), None)
             if pivot_row is None:
                 continue

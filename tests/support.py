@@ -12,6 +12,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
+from typing import Iterable, Iterator
 
 from fairnet import (
     FairnetError,
@@ -37,10 +39,17 @@ from fairnet.model import (
     require_constant,
     timed,
 )
-from fairnet.search import SearchTables
+from fairnet.search import ForcingStep, SearchTables, ordered_search
 from fairnet.solvers import ORBIT_NODE_BUDGET, _adopt, _oracle_cap, solve_oracle
-from fairnet.special import _solve_cycles, star_decomposition
-from fairnet.structure import first_vertex_orbit, twin_classes
+from fairnet.special import ForestExtender, PartialAssignment, _solve_cycles, star_decomposition
+from fairnet.structure import (
+    Elimination,
+    PivotMap,
+    _cancel,
+    connected_components,
+    first_vertex_orbit,
+    twin_classes,
+)
 
 BRUTE_N_LIMIT = 8
 
@@ -830,3 +839,132 @@ def reference_solve_regular_fvs(
         stats.trace.append("delegating to exhaustive search")
         return _adopt(stats, solve_oracle(graph, labels, k=k))
     return _solve_cycles(graph, labels, k, stats)
+
+
+# The elimination as it was before it took a labeling order, copied
+# verbatim (only renamed).  With the default order, `eliminate` must give
+# exactly its pivots and weights.
+def reference_eliminate(graph: Graph) -> Elimination:
+    """Gauss-Jordan elimination of [A | 1] over the integers, per component.
+
+    Rows stay lists of coprime integers: cancelling a column combines two
+    rows with integer factors and divides out the gcd, so no fraction
+    arises (fraction-free, as in Bareiss's elimination).  Columns run from
+    the highest vertex id down and each pivot is cancelled from every other
+    row, so the reduced form, and with it each `PivotMap`, is unique.  With
+    the free labels at 0 and K = 1, pivot p takes c / D, so s_C is the sum
+    of c / D over C's pivots; a row left with only a K coefficient means no
+    solution.  Rows of different components never meet, so each component
+    is eliminated alone.
+    """
+    weights = []
+    pivots: dict[int, PivotMap] = {}
+    for comp in connected_components(graph):
+        size = len(comp)
+        index = {v: i for i, v in enumerate(comp)}
+        # one row per distinct neighborhood (false twins repeat an equation):
+        # the neighbors' columns, then the coefficient of K
+        pending = []
+        for nbrs in dict.fromkeys(graph.adjacency[v] for v in comp):
+            row = [0] * size + [1]
+            for u in nbrs:
+                row[index[u]] = 1
+            pending.append(row)
+        reduced: dict[int, list[int]] = {}
+        for col in reversed(range(size)):
+            pivot_row = next((row for row in pending if row[col]), None)
+            if pivot_row is None:
+                continue
+            pending = [
+                _cancel(row, pivot_row, col) if row[col] else row
+                for row in pending
+                if row is not pivot_row
+            ]
+            pending = [row for row in pending if any(row)]
+            for p, row in reduced.items():
+                if row[col]:
+                    reduced[p] = _cancel(row, pivot_row, col)
+            reduced[col] = pivot_row
+        for p, row in reduced.items():
+            if row[p] < 0:
+                row = [-x for x in row]
+            terms = tuple((comp[j], x) for j, x in enumerate(row[:size]) if x and j != p)
+            pivots[comp[p]] = (row[p], row[size], terms)
+        # after the last column a pending row holds only its K coefficient
+        weight = None
+        if not pending:
+            maps = [pivots[comp[p]] for p in reduced]
+            common = lcm(*(scale for scale, _c, _terms in maps))
+            weight = Fraction(sum(c * (common // scale) for scale, c, _terms in maps), common)
+        weights.append((comp, weight))
+    return Elimination(tuple(weights), pivots)
+
+
+# The forest-boundary enumeration as it was before its pivot maps, copied
+# verbatim (only renamed).  `solve_fvs_alpha_delta` must decide exactly as
+# it does, certificates included, in no more nodes.
+def reference_enumerate_boundary_extensions(
+    graph: Graph,
+    forest_vertices: Iterable[int],
+    labels: LabelMultiset,
+    k: int,
+    extra_boundary: Iterable[int] = (),
+    stats: SolveStats | None = None,
+) -> Iterator[PartialAssignment]:
+    """Forced extensions of boundary labelings that break no known equation.
+
+    The domain is the boundary, optionally widened by extra vertices outside
+    the forest (e.g. a full feedback vertex set).  Its vertices are labeled
+    in id order with the distinct label values in ascending order, so the
+    stream follows the lexicographic order of the domain labelings.  A
+    labeling is yielded, merged with the forced interior labels, when it
+    extends consistently, the combined labels fit inside the multiset, and
+    every vertex whose whole neighborhood lies in the domain or the forest
+    sees exactly K.  Restrictions of genuine fair labelings always survive.
+
+    Every check runs as soon as its inputs are labeled: a tree is forced at
+    the position of the last domain vertex its forcing steps or its root
+    equation read, and an equation is checked exactly once its last neighbor
+    is labeled, and against the min/max completion of its pending neighbors
+    before that.  `stats.nodes` counts each tried (domain vertex, value)
+    pair with a copy left.
+    """
+    require_constant(k)
+    extender = ForestExtender(graph, forest_vertices)
+    domain = sorted(extender.boundary | set(extra_boundary))
+    interior = set(extender.internal)
+    for v in domain:
+        if not 0 <= v < graph.vertex_count:
+            raise InputError(f"boundary vertex {v} out of range")
+        if v in interior:
+            raise InputError(f"boundary vertex {v} is interior to the forest")
+    adjacency = graph.adjacency
+    known = set(domain) | extender.forest
+    checked = {u for u in range(graph.vertex_count) if known.issuperset(adjacency[u])}
+    # per labeled vertex, the checked equations its label enters
+    feeds = [
+        tuple(u for u in adjacency[v] if u in checked) if v in known else ()
+        for v in range(graph.vertex_count)
+    ]
+    pos = {v: i for i, v in enumerate(domain)}
+    forcing_at: list[list[ForcingStep]] = [[] for _ in domain]
+    touched_at = [set(feeds[v]) for v in domain]
+    for steps in extender.trees:
+        reads = {u for _, entries in steps for others in entries for u in others}
+        reads.update(adjacency[steps[-1][0]])
+        trigger = max(pos[u] for u in reads if u in pos)
+        forcing_at[trigger].extend(steps)
+        for v, _ in steps:
+            touched_at[trigger].update(feeds[v])
+    tables = SearchTables(
+        tuple(domain),
+        feeds,
+        graph.degrees,
+        [tuple(sorted(touched)) for touched in touched_at],
+        forcing_at=forcing_at,
+        # an isolated vertex sees 0, never the positive K
+        root_checks=tuple(u for u in sorted(checked) if not adjacency[u]),
+    )
+    order = domain + [v for steps in extender.trees for v, _ in steps]
+    for values, _ in ordered_search(tables, labels, stats or SolveStats(), k):
+        yield {v: values[v] for v in order}

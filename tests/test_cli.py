@@ -364,6 +364,24 @@ class TestBench:
         out = capsys.readouterr().out
         assert "\toracle\trefused\t" in out
 
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_recursion_and_memory_errors_are_rows(self, tmp_path, capsys, monkeypatch, error):
+        # main refuses these for one solve; bench gives that file a row and goes on
+        import fairnet.cli as cli_mod
+
+        real = cli_mod.solve_auto
+
+        def deep(graph, labels, k=None):
+            if graph.vertex_count == 4:
+                raise error
+            return real(graph, labels, k)
+
+        monkeypatch.setattr(cli_mod, "solve_auto", deep)
+        assert main(["bench", str(self.corpus(tmp_path)), "--algos", "auto"]) == 0
+        rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[:3] for row in rows] == [["a.fn", "auto", "refused"], ["b.fn", "auto", "unfair"]]
+        assert rows[0][4:] == ["-", "-"]
+
     def test_empty_corpus(self, tmp_path, capsys):
         d = tmp_path / "empty"
         d.mkdir()

@@ -42,6 +42,26 @@ class TestGraph:
         with pytest.raises(InputError):
             Graph(((1,), ()))
 
+    def test_asymmetric_adjacency_names_the_first_one_sided_edge(self):
+        rng = random.Random(5)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(2, 7)
+            adjacency = tuple(
+                tuple(sorted(rng.sample([u for u in range(n) if u != v], rng.randint(0, n - 1))))
+                for v in range(n)
+            )
+            one_sided = [
+                (v, u) for v, nbrs in enumerate(adjacency) for u in nbrs if v not in adjacency[u]
+            ]
+            if not one_sided:
+                assert Graph(adjacency).adjacency == adjacency
+                continue
+            checked += 1
+            with pytest.raises(InputError) as caught:
+                Graph(adjacency)
+            assert str(caught.value) == f"edge {one_sided[0]} is not symmetric"
+
     def test_degrees_and_regularity(self):
         c4 = cycle_graph(4)
         assert c4.degrees == (2, 2, 2, 2)

@@ -36,7 +36,7 @@ from fairnet import (
     star_graph,
     verify,
 )
-from fairnet import solvers, structure
+from fairnet import solvers, special, structure
 from fairnet.cli import run_algorithm
 from fairnet.model import SolveStats
 from fairnet.search import SearchTables, ordered_search
@@ -49,6 +49,7 @@ from support import (
     random_graph,
     random_instance,
     random_labels,
+    reference_enumerate_boundary_extensions,
     reference_oracle_tables,
     reference_solve_regular_fvs,
 )
@@ -202,7 +203,7 @@ class TestFvsAlphaDelta:
         out = solve_fvs_alpha_delta(instance.graph, instance.labels, 15)
         assert out.fair
         assert verify(instance.graph, instance.labels, out.certificate.labels) == 15
-        assert out.stats.nodes == 334
+        assert out.stats.nodes == 56
         for k in fairness_constant_candidates(instance.graph, instance.labels):
             assert (
                 solve_fvs_alpha_delta(instance.graph, instance.labels, k).fair
@@ -442,10 +443,10 @@ class TestEnumerators:
         [
             ("circulant", "oracle", (False, None, 1, 0)),
             ("circulant", "vc-alpha", (False, None, 74436, 116)),
-            ("circulant", "fvs-alpha-delta", (False, None, 84012, 0)),
+            ("circulant", "fvs-alpha-delta", (False, None, 10, 0)),
             ("3part-k33", "oracle", (True, (1, 3, 5, 2, 3, 4), 5, 0)),
             ("3part-k33", "vc-alpha", (True, (1, 3, 5, 2, 3, 4), 10, 1)),
-            ("3part-k33", "fvs-alpha-delta", (True, (1, 3, 5, 2, 3, 4), 6, 0)),
+            ("3part-k33", "fvs-alpha-delta", (True, (1, 3, 5, 2, 3, 4), 5, 0)),
         ],
     )
     def test_outputs_pinned(self, family, algo, pinned):
@@ -833,6 +834,122 @@ class TestLinearForcing:
         labels = S(*[1, 3] * 5)
         assert oracle_constants(graph, labels) == [8]
         assert solve_oracle(graph, labels).certificate.constant == 8
+
+
+def _with_star(rng, graph, labels, k):
+    """The instance with a star whose center takes k and whose leaves sum
+    to k added, so it stays fair if it was."""
+    leaves = rng.randint(1, min(3, k))
+    values = [1] * leaves
+    for _ in range(k - leaves):
+        values[rng.randrange(leaves)] += 1
+    return (
+        disjoint_union(graph, star_graph(leaves)),
+        S(*labels.values, k, *values),
+    )
+
+
+def _boundary_instances(rng):
+    """Seeded fvs-alpha-delta instances, each with None or a requested
+    constant: planted fair ones, 4-regular circulants with repeated labels,
+    3part-k33 and 3part-stars with m 2-4, 3x3 semimagic encodings, and G(n, p)
+    with min degree 2 and star components, some planted fair."""
+    instances = []
+    for i in range(960):
+        kind = i % 6
+        k = None
+        if kind == 0:
+            graph, labels, _, _ = constructed_fair(rng, max_n=9)
+        elif kind == 1:
+            n = rng.randint(6, 10)
+            graph = gen_circulant(n, 4)
+            pool = rng.sample(range(1, 7), 3)
+            labels = S(*(rng.choice(pool) for _ in range(n)))
+            if i % 12 == 1:
+                low = rng.randint(1, 3)
+                labels = S(*[low, low + 2] * (n // 2) + [low + 1] * (n % 2))
+        elif kind == 2:
+            m = rng.randint(2, 4)
+            while True:
+                w = tuple(rng.randint(1, 5) for _ in range(3 * m))
+                if sum(w) % m == 0:
+                    break
+            generate = gen_3partition_k33 if i % 12 == 2 else gen_3partition_stars
+            made = generate(ThreePartitionInstance(w, m))
+            graph, labels = made.graph, made.labels
+        elif kind == 3:
+            entries = (
+                _planted_grid(rng) if i % 12 == 3
+                else tuple(rng.randint(1, 4) for _ in range(9))
+            )
+            made = gen_semimagic(SemiMagicSpec(3, entries))
+            graph, labels = made.graph, made.labels
+        elif kind == 4:
+            while True:
+                graph, labels, _, k = constructed_fair(rng, max_n=8)
+                if graph.max_degree() < graph.vertex_count - 1:
+                    break
+            graph, labels = _with_star(rng, graph, labels, k)
+            k = rng.choice((None, k))
+        else:
+            n = rng.randint(4, 10)
+            while True:
+                graph = random_graph(rng, n, rng.choice((0.45, 0.6, 0.8)))
+                if graph.min_degree() >= 2:
+                    break
+            labels = random_labels(rng, n, 6)
+            if i % 12 == 11:
+                # a constant some permutation of the labels gives vertex 0
+                perm = list(labels.values)
+                rng.shuffle(perm)
+                k = sum(perm[u] for u in graph.adjacency[0])
+                graph, labels = _with_star(rng, graph, labels, k)
+        instances.append((graph, labels, k))
+    return instances
+
+
+class TestBoundaryForcing:
+    """The pivot maps keep fvs-alpha-delta's outcome, in no more nodes."""
+
+    def test_same_outcomes_as_the_reference(self, monkeypatch):
+        rng = random.Random(1409)
+        fair_count = enumerated = saved = 0
+        for graph, labels, k in _boundary_instances(rng):
+            ours = solve_fvs_alpha_delta(graph, labels, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    solvers, "enumerate_boundary_extensions",
+                    reference_enumerate_boundary_extensions,
+                )
+                reference = solve_fvs_alpha_delta(graph, labels, k)
+            assert ours.verdict == reference.verdict, (graph.adjacency, labels.values, k)
+            assert ours.certificate == reference.certificate
+            assert ours.stats.nodes <= reference.stats.nodes
+            fair_count += ours.fair
+            enumerated += reference.stats.nodes > 0
+            saved += reference.stats.nodes - ours.stats.nodes
+        assert fair_count >= 300
+        assert enumerated >= 400
+        assert saved > 0
+
+    def test_maps_only_where_every_equation_is_checked(self, monkeypatch):
+        # a boundary domain that leaves a vertex's equation unchecked gets
+        # no maps, so its stream is the reference's; covered, it gets maps
+        seen = []
+        real = special.ordered_search
+
+        def spy(tables, *args):
+            seen.append(tables.maps)
+            return real(tables, *args)
+
+        monkeypatch.setattr(special, "ordered_search", spy)
+        graph, labels = cycle_graph(6), S(1, 2, 3, 1, 2, 3)
+        # forest {1, 2}: domain {0, 1, 2, 3}, vertices 4 and 5 unknown
+        partial = list(special.enumerate_boundary_extensions(graph, [1, 2], labels, 4))
+        assert partial == list(reference_enumerate_boundary_extensions(graph, [1, 2], labels, 4))
+        assert seen.pop() == []
+        list(special.enumerate_boundary_extensions(graph, [1, 2, 3, 4], labels, 4))
+        assert any(seen.pop())
 
 
 def _regular_instances(rng):

@@ -358,8 +358,9 @@ class TestBoundaryEnumeration:
                        {0: 2, 1: 1, 3: 4, 2: 3}, {0: 2, 1: 4, 3: 1, 2: 3},
                        {0: 3, 1: 1, 3: 4, 2: 2}, {0: 3, 1: 4, 3: 1, 2: 2},
                        {0: 4, 1: 2, 3: 3, 2: 1}, {0: 4, 1: 3, 3: 2, 2: 1}]
-        # every tried pair with a copy left: 4 + 4*3 + 12*2
-        assert stats.nodes == 40
+        # every tried pair with a copy left at a free position: 4 + 4*3;
+        # vertex 2's equation maps vertex 3 to K - l_1, which is no node
+        assert stats.nodes == 16
 
     def test_rejects_interior_extra_vertex(self):
         with pytest.raises(InputError):

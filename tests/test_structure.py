@@ -56,6 +56,7 @@ from support import (
     gauss_jordan_weights,
     random_graph,
     random_labels,
+    reference_eliminate,
     reference_oracle_tables,
     unbounded_minimum_feedback_vertex_set,
     unbounded_minimum_vertex_cover,
@@ -494,8 +495,16 @@ class TestComponentWeights:
         assert component_weights(g) == [((0, 1), 2), ((2,), None)]
 
 
+def _shuffled_order(rng: random.Random, graph: Graph) -> list[int]:
+    """Some of the vertices, often all, in a random order."""
+    order = list(range(graph.vertex_count))
+    rng.shuffle(order)
+    return order if rng.random() < 0.5 else order[: rng.randint(0, len(order))]
+
+
 class TestElimination:
-    """The reduced form of A l = K 1, columns from the highest id down."""
+    """The reduced form of A l = K 1, by default with columns from the
+    highest id down."""
 
     @staticmethod
     def _graphs(rng):
@@ -545,6 +554,37 @@ class TestElimination:
         for _ in range(300):
             g, _labels, assignment, k = constructed_fair(rng, max_n=9)
             for p, (scale, constant, terms) in eliminate(g).pivots.items():
+                assert scale * assignment[p] == constant * k - sum(
+                    c * assignment[j] for j, c in terms
+                )
+
+    def test_default_order_is_the_parents_elimination(self):
+        rng = random.Random(73)
+        for g in self._graphs(rng):
+            expected = reference_eliminate(g)
+            assert eliminate(g) == expected
+            assert eliminate(g, range(g.vertex_count)) == expected
+
+    def test_shuffled_order_maps_read_only_earlier_positions(self):
+        rng = random.Random(79)
+        for g in self._graphs(rng):
+            order = _shuffled_order(rng, g)
+            position = {v: i for i, v in enumerate(order)}
+            elimination = eliminate(g, order)
+            for p, (scale, constant, terms) in elimination.pivots.items():
+                assert scale > 0
+                assert gcd(scale, constant, *(c for _, c in terms)) == 1
+                assert all(c and j not in elimination.pivots for j, c in terms)
+                if p in position:
+                    assert all(position.get(j, len(order)) < position[p] for j, _ in terms)
+            # s_C does not depend on which solution is read off
+            assert elimination.weights == eliminate(g).weights
+
+    def test_fair_labelings_obey_every_map_in_a_shuffled_order(self):
+        rng = random.Random(83)
+        for _ in range(300):
+            g, _labels, assignment, k = constructed_fair(rng, max_n=9)
+            for p, (scale, constant, terms) in eliminate(g, _shuffled_order(rng, g)).pivots.items():
                 assert scale * assignment[p] == constant * k - sum(
                     c * assignment[j] for j, c in terms
                 )
