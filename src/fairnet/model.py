@@ -123,6 +123,23 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex sets of the connected components, each sorted, ordered by minimum id."""
+        seen = [False] * self.vertex_count
+        components = []
+        for start in range(self.vertex_count):
+            if not seen[start]:
+                seen[start] = True
+                queue = [start]
+                for v in queue:
+                    for u in self.adjacency[v]:
+                        if not seen[u]:
+                            seen[u] = True
+                            queue.append(u)
+                components.append(tuple(sorted(queue)))
+        return tuple(components)
+
     def edges(self) -> list[tuple[int, int]]:
         return [(v, u) for v in range(self.vertex_count) for u in self.adjacency[v] if v < u]
 

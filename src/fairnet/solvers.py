@@ -52,13 +52,16 @@ from .special import _solve_cycles, enumerate_boundary_extensions, solve_disjoin
 from .structure import (
     Elimination,
     Shape,
+    ShapeReport,
     classify,
     component_weights,
     eliminate,
+    feedback_vertex_set_number,
     first_vertex_orbit,
     minimum_feedback_vertex_set,
     minimum_vertex_cover,
     twin_classes,
+    vertex_cover_number,
 )
 
 # refuse exhaustive search beyond this many twin classes (env-overridable)
@@ -222,14 +225,13 @@ def solve_vc_delta(
     return solve_oracle(graph, labels, k)
 
 
-def _pendant_screen(graph: Graph, stats: SolveStats) -> bool:
+def _pendant_screen(graph: Graph, stats: SolveStats, report: ShapeReport) -> bool:
     """True when some component has a pendant vertex but is not a star.
 
     Such a component admits no fair labeling at all: a pendant vertex's
     equation forces its neighbor's label to the constant, and propagating
     that around a connected non-star component always collides.
     """
-    report = classify(graph)
     for comp, kind in zip(report.components, report.component_kinds):
         if kind == "tree" or (
             kind == "general" and any(graph.degree(v) == 1 for v in comp)
@@ -256,9 +258,10 @@ def solve_fvs_alpha_delta(
     """
     constants = _constants(graph, labels, k)
     stats = SolveStats()
-    if not constants or _pendant_screen(graph, stats):
+    report = classify(graph)
+    if not constants or _pendant_screen(graph, stats, report):
         return SolveOutcome.make_unfair(stats)
-    g1, ids1, fvs, forest = _non_star_part(graph)
+    g1, ids1, fvs, forest = _non_star_part(graph, report)
     if not ids1:
         return _decide(constants, stats, lambda k: solve_disjoint_stars(graph, labels, k))
     in_g1 = set(ids1)
@@ -398,18 +401,20 @@ def solve_regular_fvs(
 @dataclass(frozen=True)
 class _GeneralPlan:
     tag: StrategyTag
+    fvs_size: int | None
     vc_size: int | None
     boundary_size: int | None
     est_vc: int | None
     est_fvs: int | None
 
 
-def _non_star_part(graph: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...], list[int]]:
+def _non_star_part(
+    graph: Graph, report: ShapeReport
+) -> tuple[Graph, tuple[int, ...], tuple[int, ...], list[int]]:
     """The subgraph induced outside the star components, the ids of its
     vertices in `graph`, its minimum feedback vertex set and the forest that
     set leaves (both in the subgraph's ids).  Refuses when the subgraph is
     too large for an exact feedback vertex set."""
-    report = classify(graph)
     rest = [
         v
         for comp, kind in zip(report.components, report.component_kinds)
@@ -427,26 +432,26 @@ def _non_star_part(graph: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...
     return part, ids, fvs, [v for v in range(part.vertex_count) if v not in in_fvs]
 
 
-def _plan_general(graph: Graph, labels: LabelMultiset) -> _GeneralPlan:
+def _plan_general(graph: Graph, labels: LabelMultiset, report: ShapeReport) -> _GeneralPlan:
     """Pick between the two enumeration strategies by nominal search size."""
     if graph.vertex_count > EXACT_PARAM_LIMIT:
-        return _GeneralPlan(StrategyTag.ORACLE, None, None, None, None)
+        return _GeneralPlan(StrategyTag.ORACLE, None, None, None, None, None)
     alpha = labels.alpha
-    g1, _, fvs, forest = _non_star_part(graph)
+    g1, _, fvs, forest = _non_star_part(graph, report)
     forest_set = set(forest)
     leaves = sum(
         1
         for v in forest
         if sum(1 for u in g1.adjacency[v] if u in forest_set) <= 1
     )
-    vc = minimum_vertex_cover(graph)
+    vc = vertex_cover_number(graph)
     boundary = len(fvs) + leaves
-    est_vc = alpha ** len(vc)
+    est_vc = alpha ** vc
     est_fvs = alpha ** boundary
     if min(est_vc, est_fvs) > ENUMERATION_CAP:
-        return _GeneralPlan(StrategyTag.ORACLE, len(vc), boundary, est_vc, est_fvs)
+        return _GeneralPlan(StrategyTag.ORACLE, len(fvs), vc, boundary, est_vc, est_fvs)
     tag = StrategyTag.VC_ALPHA if est_vc <= est_fvs else StrategyTag.FVS_ALPHA_DELTA
-    return _GeneralPlan(tag, len(vc), boundary, est_vc, est_fvs)
+    return _GeneralPlan(tag, len(fvs), vc, boundary, est_vc, est_fvs)
 
 
 def parameter_report(graph: Graph, labels: LabelMultiset) -> SolverChoice:
@@ -454,8 +459,11 @@ def parameter_report(graph: Graph, labels: LabelMultiset) -> SolverChoice:
 
     The tag is AUTO when the instance is settled by the dispatcher's own
     screens and closed forms (edgeless, isolated vertices, pendant screen,
-    disjoint stars, disjoint cycles) rather than by a named strategy, and
-    ORACLE on the other regular graphs, which the dispatcher hands to it.
+    disjoint stars, disjoint cycles, a regular graph with no constant)
+    rather than by a named strategy, and ORACLE on the other regular
+    graphs, which the dispatcher hands to it.  The sizes come from size-only
+    searches, or from the general plan when it runs: star components are
+    acyclic, so the FVS of the non-star part is one of the whole graph.
     """
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
@@ -463,21 +471,21 @@ def parameter_report(graph: Graph, labels: LabelMultiset) -> SolverChoice:
     alpha = labels.alpha
     delta = graph.max_degree()
     r = graph.regular_degree()
-    if 0 < n <= EXACT_PARAM_LIMIT:
-        fvs_size: int | None = len(minimum_feedback_vertex_set(graph))
-        vc_size: int | None = len(minimum_vertex_cover(graph))
-    else:
-        fvs_size = None
-        vc_size = None
-    shape = classify(graph).shape
-    if shape in (
+    report = classify(graph)
+    fvs_size: int | None = None
+    vc_size: int | None = None
+    if report.shape in (
         Shape.EDGELESS_ONLY, Shape.HAS_ISOLATED_MIXED, Shape.DISJOINT_STARS, Shape.DISJOINT_CYCLES,
-    ) or _pendant_screen(graph, SolveStats()):
+    ) or _pendant_screen(graph, SolveStats(), report):
         tag = StrategyTag.AUTO
-    elif shape is Shape.REGULAR:
-        tag = StrategyTag.ORACLE
+    elif report.shape is Shape.REGULAR:
+        low, high, _ = constant_bounds(graph, labels)
+        tag = StrategyTag.ORACLE if low <= high else StrategyTag.AUTO
     else:
-        tag = _plan_general(graph, labels).tag
+        plan = _plan_general(graph, labels, report)
+        tag, fvs_size, vc_size = plan.tag, plan.fvs_size, plan.vc_size
+    if fvs_size is None and 0 < n <= EXACT_PARAM_LIMIT:
+        fvs_size, vc_size = feedback_vertex_set_number(graph), vertex_cover_number(graph)
     return SolverChoice(tag, fvs_size, vc_size, alpha, delta, r)
 
 
@@ -590,7 +598,7 @@ def solve_auto(
     if report.shape is Shape.HAS_ISOLATED_MIXED:
         stats.trace.append("isolated vertex next to constrained vertices")
         return SolveOutcome.make_unfair(stats)
-    if _pendant_screen(graph, stats):
+    if _pendant_screen(graph, stats, report):
         return SolveOutcome.make_unfair(stats)
 
     if report.shape is Shape.DISJOINT_STARS:
@@ -620,7 +628,7 @@ def solve_auto(
     if not candidates:
         return SolveOutcome.make_unfair(stats)
 
-    plan = _plan_general(graph, labels)
+    plan = _plan_general(graph, labels, report)
     stats.trace.append(
         f"strategy {plan.tag.value}"
         + (

@@ -10,20 +10,23 @@ the oracle's order (vertex ids) and the forest-boundary enumeration's
 
 The feedback-vertex-set and vertex-cover routines are exact branch-and-bound
 searches meant for the small instances this package targets, run on each
-connected component alone.  Both return the lexicographically smallest
-minimum solution (compared as sorted id tuples) so downstream enumeration
-stays deterministic.
+connected component alone.  The report's fvs and vc numbers come from
+size-only searches (`feedback_vertex_set_number`, `vertex_cover_number`);
+the lexicographically smallest minimum solution (compared as sorted id
+tuples), which keeps downstream enumeration deterministic, is built only
+where a strategy needs the set.
 
 A component is a list of int neighbor masks and a branch is one int mask of
 live vertices, so a degree is one popcount and a branch copies nothing.
 Each branch is cut by a lower bound: for FVS the fewest vertex degrees whose
 (degree - 1) values cover the cyclomatic number m - n + c, for VC the size of
 a greedy maximal matching.  FVS branches only on the degree->=3 vertices of
-one cycle of the 2-core, one of which some smallest solution takes.  Each
-decision returns the solution it found, and the greedy reconstruction takes
-a vertex of that witness without searching again.  Bounds, branching rule
-and witnesses only skip work whose answer is known, so the sizes and the
-tuples are those of the unbounded search.
+one cycle of the 2-core, one of which some smallest solution takes, and its
+size loop stops at the size of a greedy FVS (highest degree first), whose
+set is then the witness.  Each decision returns the solution it found, and
+the greedy reconstruction takes a vertex of that witness without searching
+again.  Bounds, branching rule and witnesses only skip work whose answer is
+known, so the sizes and the tuples are those of the unbounded search.
 """
 
 from __future__ import annotations
@@ -40,24 +43,7 @@ from .model import FairnetError, Graph, InputError
 
 def connected_components(graph: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum id."""
-    n = graph.vertex_count
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        comp = []
-        while queue:
-            v = queue.pop()
-            comp.append(v)
-            for u in graph.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        components.append(tuple(sorted(comp)))
-    return components
+    return list(graph.components)
 
 
 # a pivot vertex p's equation after elimination: D l_p = c K - sum of c_j l_j
@@ -119,7 +105,7 @@ def eliminate(graph: Graph, order: Iterable[int] | None = None) -> Elimination:
         rank[v] = i
     weights = []
     pivots: dict[int, PivotMap] = {}
-    for comp in connected_components(graph):
+    for comp in graph.components:
         size = len(comp)
         index = {v: i for i, v in enumerate(comp)}
         # one row per distinct neighborhood (false twins repeat an equation):
@@ -385,7 +371,7 @@ def classify(graph: Graph) -> ShapeReport:
     reported whenever the whole graph is regular, independent of the tag
     (disjoint cycles, for instance, are also 2-regular).
     """
-    comps = tuple(connected_components(graph))
+    comps = graph.components
     kinds = tuple(_component_kind(graph, c) for c in comps)
     r = graph.regular_degree()
     if graph.vertex_count == 0 or all(k == "isolated" for k in kinds):
@@ -406,7 +392,7 @@ def classify(graph: Graph) -> ShapeReport:
 
 
 def _bits(mask: int) -> Iterable[int]:
-    """The indices of the set bits of mask, lowest first."""
+    """The indices of the set bits of mask, lowest first (hot loops inline it)."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -417,13 +403,14 @@ def _two_core(adj: list[int], alive: int, seeds: int) -> int:
     """alive less, repeatedly, each vertex of live degree <= 1 among seeds and
     the neighbors of removed vertices; such a vertex is on no cycle.  Seeds
     alive give the 2-core; after deleting v from a 2-core, v's neighbors do."""
-    queue = [v for v in _bits(seeds & alive) if (adj[v] & alive).bit_count() <= 1]
-    while queue:
-        v = queue.pop()
-        if alive >> v & 1:
-            alive ^= 1 << v
-            # degrees only fall, so a queued vertex stays removable
-            queue.extend(u for u in _bits(adj[v] & alive) if (adj[u] & alive).bit_count() <= 1)
+    pending = seeds & alive
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        nbrs = adj[low.bit_length() - 1] & alive
+        if nbrs.bit_count() <= 1:
+            alive ^= low
+            pending |= nbrs
     return alive
 
 
@@ -444,8 +431,10 @@ def _cycle_rank_bound(adj: list[int], alive: int) -> int:
         while frontier:
             rest ^= frontier
             reach = 0
-            for v in _bits(frontier):
-                nbrs = adj[v] & alive
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nbrs = adj[low.bit_length() - 1] & alive
                 reach |= nbrs
                 degrees.append(nbrs.bit_count())
             frontier = reach & rest
@@ -472,16 +461,20 @@ def _branch_vertices(adj: list[int], alive: int) -> list[int]:
     vertices only is a whole component.
     """
     cycle = None
-    for v in _bits(alive):
+    rest = alive
+    while rest and cycle is None:
+        v = (rest & -rest).bit_length() - 1
+        rest ^= 1 << v
         nbrs = adj[v] & alive
-        for u in _bits(nbrs >> v + 1 << v + 1):
+        higher = nbrs >> v + 1 << v + 1
+        while higher:
+            u = (higher & -higher).bit_length() - 1
+            higher ^= 1 << u
             common = adj[u] & nbrs
             if common:
                 cycle = [v, u, common.bit_length() - 1]
                 break
-        if cycle:
-            break
-    else:
+    if cycle is None:
         root = max(_bits(alive), key=lambda v: (adj[v] & alive).bit_count(), default=0)
         parent = {root: root}
         queue = [root]
@@ -523,13 +516,27 @@ def _has_fvs(adj: list[int], alive: int, budget: int) -> int | None:
     return None
 
 
+def _greedy_fvs(adj: list[int], alive: int) -> int:
+    """A feedback vertex set of the live graph, a 2-core, as a mask: the first
+    vertex of highest live degree, taken until re-coring leaves nothing."""
+    taken = 0
+    while alive:
+        v = max(_bits(alive), key=lambda w: (adj[w] & alive).bit_count())
+        taken |= 1 << v
+        alive = _two_core(adj, alive ^ 1 << v, adj[v])
+    return taken
+
+
 def _matching_bound(adj: list[int], alive: int) -> int:
     """Edges of a greedy maximal matching: a vertex cover takes an end of each."""
-    free = alive
+    free = rest = alive
     edges = 0
-    for v in _bits(alive):
+    # the free vertices not yet visited, in id order
+    while rest := rest & free:
+        v = (rest & -rest).bit_length() - 1
+        rest ^= 1 << v
         mates = adj[v] & free
-        if free >> v & 1 and mates:
+        if mates:
             free ^= 1 << v | mates & -mates
             edges += 1
     return edges
@@ -543,9 +550,11 @@ def _has_vc(adj: list[int], alive: int, budget: int) -> int | None:
     while pending:
         pending = False
         top, v = 1, -1
-        for w in _bits(alive):
-            if not alive >> w & 1:
-                continue
+        rest = alive
+        # the live vertices not yet visited in this pass
+        while rest := rest & alive:
+            w = (rest & -rest).bit_length() - 1
+            rest ^= 1 << w
             nbrs = adj[w] & alive
             degree = nbrs.bit_count()
             if degree <= 1:
@@ -580,29 +589,48 @@ def _non_isolated(adj: list[int], alive: int, seeds: int) -> int:
     return alive & ~sum(1 << v for v in _bits(seeds & alive) if not adj[v] & alive)
 
 
-def _lex_smallest(graph: Graph, has, bound, reduce) -> tuple[int, ...]:
+# per problem: the search for a solution within a budget, a lower bound, the
+# reduction to the vertices a minimum solution can take, and a solution
+_FVS = (_has_fvs, _cycle_rank_bound, _two_core, _greedy_fvs)
+# every live vertex: a cover that is never minimum, unless none is live
+_VC = (_has_vc, _matching_bound, _non_isolated, lambda adj, alive: alive)
+
+
+def _minimum(graph: Graph, comp: tuple[int, ...], has, bound, reduce, solution):
+    """A component's neighbor masks over its vertices in id order, its live
+    vertices after `reduce`, its minimum solution size and a minimum
+    solution (a mask).  The size loop starts at the lower `bound` and stops
+    at the first size `has` finds a witness for, or at the size of the set
+    `solution` gives, which is then the witness."""
+    index = {v: i for i, v in enumerate(comp)}
+    adj = [sum(1 << index[u] for u in graph.adjacency[v]) for v in comp]
+    full = (1 << len(comp)) - 1
+    alive = reduce(adj, full, full)
+    witness = solution(adj, alive)
+    size = bound(adj, alive)
+    while size < witness.bit_count():
+        found = has(adj, alive, size)
+        if found is not None:
+            return adj, alive, size, found
+        size += 1
+    return adj, alive, size, witness
+
+
+def _lex_smallest(graph: Graph, problem: tuple) -> tuple[int, ...]:
     """The lexicographically smallest minimum solution, per connected component.
 
-    A component is a list of neighbor masks over its vertices in id order,
-    `reduce`d to the vertices a minimum solution can take.  The size loop
-    starts at the lower `bound` and stops at the first size `has` finds a
-    witness W for.  Then each vertex v in id order is taken when some
-    minimum solution of the graph left takes it: at once when v is in W,
-    since W - v solves the graph without v with one vertex less, else when
-    `has` finds a new W.  The union of the components' smallest minima is
-    the smallest of the whole graph: two sets of equal size compare at the
-    smallest element of their symmetric difference, which the other
-    components' parts leave unchanged.
+    Each component's `_minimum` gives its size and a witness W.  Then each
+    vertex v in id order is taken when some minimum solution of the graph
+    left takes it: at once when v is in W, since W - v solves the graph
+    without v with one vertex less, else when `has` finds a new W.  The
+    union of the components' smallest minima is the smallest of the whole
+    graph: two sets of equal size compare at the smallest element of their
+    symmetric difference, which the other components' parts leave unchanged.
     """
+    has, _bound, reduce, _solution = problem
     chosen: list[int] = []
-    for comp in connected_components(graph):
-        index = {v: i for i, v in enumerate(comp)}
-        adj = [sum(1 << index[u] for u in graph.adjacency[v]) for v in comp]
-        full = (1 << len(comp)) - 1
-        alive = reduce(adj, full, full)
-        size = bound(adj, alive)
-        while (witness := has(adj, alive, size)) is None:
-            size += 1
+    for comp in graph.components:
+        adj, alive, size, witness = _minimum(graph, comp, *problem)
         for i, v in enumerate(comp):
             if size == 0:
                 break
@@ -621,10 +649,20 @@ def _lex_smallest(graph: Graph, has, bound, reduce) -> tuple[int, ...]:
 @lru_cache(maxsize=256)
 def minimum_feedback_vertex_set(graph: Graph) -> tuple[int, ...]:
     """Exact minimum feedback vertex set, lexicographically smallest on ties."""
-    return _lex_smallest(graph, _has_fvs, _cycle_rank_bound, _two_core)
+    return _lex_smallest(graph, _FVS)
 
 
 @lru_cache(maxsize=256)
 def minimum_vertex_cover(graph: Graph) -> tuple[int, ...]:
     """Exact minimum vertex cover, lexicographically smallest on ties."""
-    return _lex_smallest(graph, _has_vc, _matching_bound, _non_isolated)
+    return _lex_smallest(graph, _VC)
+
+
+def feedback_vertex_set_number(graph: Graph) -> int:
+    """The size of a minimum feedback vertex set, with no smallest set built."""
+    return sum(_minimum(graph, comp, *_FVS)[2] for comp in graph.components)
+
+
+def vertex_cover_number(graph: Graph) -> int:
+    """The size of a minimum vertex cover, with no smallest cover built."""
+    return sum(_minimum(graph, comp, *_VC)[2] for comp in graph.components)

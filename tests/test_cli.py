@@ -151,6 +151,15 @@ class TestSolve:
         main(["solve", str(tmp_path / "c"), "--algo", algo])
         assert f"\nstrategy {algo}\n" in capsys.readouterr().out
 
+    def test_regular_graph_without_a_constant_names_auto(self, tmp_path, capsys):
+        # 4 * 7 / 6 is no whole constant: the dispatcher settles it, no strategy runs
+        path = str(tmp_path / "c")
+        main(["generate", "circulant", "--n", "6", "--r", "4", "--labels", "1,1,1,1,1,2", "--out", path])
+        assert main(["solve", path]) == 1
+        out = capsys.readouterr().out
+        assert "\nstrategy auto\nnodes 0\n" in out
+        assert out.endswith("trace regular graph of degree 4: no fairness constant\n")
+
     def test_fvs_alpha_delta_counts_nodes(self, tmp_path, capsys):
         # an unfair search reports the (vertex, value) pairs it tried
         main(["generate", "circulant", "--n", "10", "--r", "4", "--out", str(tmp_path / "c")])

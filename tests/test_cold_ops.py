@@ -3,15 +3,19 @@
 `perfbench/run.py` clears the package's functools caches before each op.
 A cache it does not clear would live across ops, so repeats of one item
 would time a lookup instead of the solver.  The package may therefore hold
-exactly the caches the benchmark clears.
+exactly the caches the benchmark clears.  A `Graph` memoizes its own
+analysis, which is safe because each op parses its own `Graph`.
 """
 
 import ast
 import importlib
 import pkgutil
+from functools import cached_property
 from pathlib import Path
 
 import fairnet
+from fairnet import Graph, LabelMultiset, cycle_graph, solve_auto
+from fairnet.instance_io import Instance, read_instance, write_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "fairnet").glob("*.py"))
@@ -79,3 +83,18 @@ def test_the_benchmark_clears_every_cache_before_an_op():
         and isinstance(call.func.value.value, ast.Name)
     }
     assert cleared == ALLOWED
+
+
+def test_each_parse_builds_a_graph_with_no_analysis_yet():
+    memo = {name for name, value in vars(Graph).items() if isinstance(value, cached_property)}
+    assert "components" in memo
+    graph = cycle_graph(5)
+    labels = LabelMultiset.from_iterable([1, 2, 3, 4, 5])
+    text = write_instance(Instance(graph, labels))
+    first = read_instance(text).graph
+    solve_auto(first, labels)
+    for name in memo:
+        getattr(first, name)
+    second = read_instance(text).graph
+    assert second == first and second is not first
+    assert not memo & set(vars(second))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -51,6 +52,7 @@ from support import (
     random_labels,
     reference_enumerate_boundary_extensions,
     reference_oracle_tables,
+    reference_parameter_report,
     reference_solve_regular_fvs,
 )
 from test_structure import NEGATIVE_WEIGHT, ZERO_WEIGHT
@@ -1078,11 +1080,83 @@ class TestReportNamesWhatRan:
                 ran.add(tag)
             else:
                 # a closed form or a screen settled it, or no constant survived
-                assert tag is StrategyTag.AUTO or outcome.stats.trace[-1] in (
-                    "candidates []", f"regular graph of degree {graph.regular_degree()}:"
-                    " no fairness constant",
-                )
+                assert tag is StrategyTag.AUTO or outcome.stats.trace[-1] == "candidates []"
             shapes.add(structure.classify(graph).shape)
         assert shapes == set(Shape)
         assert ran == set(_NAMED.values())
 
+
+def _chorded_cycle(rng, n):
+    """A cycle on n vertices with random chords: no pendant vertex."""
+    chords = [(u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < 0.3]
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)] + chords)
+
+
+def _report_instances(rng):
+    """Random and planted instances, regular graphs with and without a
+    constant, forests, graphs with star components or isolated vertices,
+    and disjoint unions of 32 and 33 vertices."""
+    instances = _regular_instances(rng)[::4]
+    for _ in range(200):
+        instances.append(random_instance(rng, max_n=10))
+    for _ in range(100):
+        graph, labels, _, _ = constructed_fair(rng, max_n=9)
+        instances.append((graph, labels))
+    for _ in range(60):
+        # a regular graph whose labels rarely give r * sum / n a whole value
+        graph = rng.choice((gen_circulant(rng.randint(6, 10), 4), complete_bipartite(3, 3), k4()))
+        instances.append((graph, random_labels(rng, graph.vertex_count)))
+    instances.append((complete_bipartite(3, 3), S(1, 1, 1, 1, 1, 2)))
+    for _ in range(200):
+        parts = [_chorded_cycle(rng, rng.randint(3, 8))]
+        parts += rng.choice((
+            [star_graph(rng.randint(1, 4))],
+            [empty_graph(rng.randint(1, 2))],
+            [path_graph(rng.randint(2, 5))],
+            [star_graph(rng.randint(1, 3)), cycle_graph(rng.randint(3, 6))],
+        ))
+        rng.shuffle(parts)
+        graph = disjoint_union(*parts)
+        instances.append((graph, random_labels(rng, graph.vertex_count)))
+    for _ in range(60):
+        # forests: paths and stars, with an edge joining two of them at times
+        parts = [rng.choice((path_graph, star_graph))(rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+        graph = disjoint_union(*parts)
+        if len(parts) > 1 and rng.random() < 0.5:
+            graph = Graph.from_edges(graph.vertex_count, [*graph.edges(), (0, graph.vertex_count - 1)])
+        instances.append((graph, random_labels(rng, graph.vertex_count)))
+    for n in (32, 33):
+        for _ in range(30):
+            parts = []
+            while sum(part.vertex_count for part in parts) < n - 8:
+                parts.append(_chorded_cycle(rng, rng.randint(3, 8)))
+            rest = n - sum(part.vertex_count for part in parts)
+            parts.append(cycle_graph(rest) if rest >= 3 else path_graph(rest))
+            graph = disjoint_union(*parts)
+            instances.append((graph, random_labels(rng, n, max_value=9)))
+    return instances
+
+
+class TestReportSizes:
+    """The report sizes FVS and VC without building them and reads them off
+    the general plan when it runs: the `SolverChoice` of the former report."""
+
+    def test_same_choice_as_the_reference(self):
+        instances = _report_instances(random.Random(1616))
+        assert len(instances) >= 900
+        tags = set()
+        unsized = retagged = 0
+        for graph, labels in instances:
+            expected = reference_parameter_report(graph, labels)
+            choice = parameter_report(graph, labels)
+            tags.add(choice.tag)
+            unsized += choice.fvs is None
+            if choice != expected:
+                # a regular graph with no constant is settled by the dispatcher
+                assert structure.classify(graph).shape is Shape.REGULAR
+                assert solve_auto(graph, labels).stats.trace[-1].endswith("no fairness constant")
+                assert (expected.tag, choice.tag) == (StrategyTag.ORACLE, StrategyTag.AUTO)
+                assert dataclasses.replace(expected, tag=StrategyTag.AUTO) == choice
+                retagged += 1
+        assert tags == set(StrategyTag)
+        assert unsized >= 30 and retagged >= 10

@@ -37,13 +37,16 @@ from fairnet.reductions import (
 from fairnet.structure import (
     _branch_vertices,
     _cycle_rank_bound,
+    _greedy_fvs,
     _has_fvs,
     _has_vc,
     _matching_bound,
     _two_core,
     component_weights,
     eliminate,
+    feedback_vertex_set_number,
     first_vertex_orbit,
+    vertex_cover_number,
 )
 from fairnet import solvers, structure
 from fairnet.solvers import ORBIT_NODE_BUDGET, _oracle_tables
@@ -402,6 +405,52 @@ class TestBitsetKernels:
                 if set(s) & set(branch)
             )
 
+
+
+def _size_test_graphs():
+    """Random graphs up to 14 vertices, dense ones up to 18, disjoint unions,
+    the generator families, circulants and edgeless graphs: 920 graphs."""
+    rng = random.Random(97)
+    graphs = [
+        random_graph(rng, rng.randint(1, 14), rng.choice((0.15, 0.2, 0.3, 0.5, 0.7)))
+        for _ in range(700)
+    ]
+    # the unbounded reference needs seconds on denser graphs of this size
+    dense = ((18, 0.5), (17, 0.5), (17, 0.6), (16, 0.6), (15, 0.6), (14, 0.7), (13, 0.7), (12, 0.7))
+    graphs += [random_graph(rng, n, p) for n, p in dense]
+    graphs += [
+        disjoint_union(*[
+            random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.8)))
+            for _ in range(rng.randint(2, 3))
+        ])
+        for _ in range(150)
+    ]
+    graphs += _family_graphs() + _subdivided_and_bipartite_graphs()
+    graphs += [gen_circulant(n, r) for n in range(5, 13) for r in (2, 4) if r < n]
+    graphs += [gen_circulant(n, 6) for n in range(8, 12)]
+    return graphs + [empty_graph(0), empty_graph(3)]
+
+
+class TestSizeOnly:
+    """`feedback_vertex_set_number` and `vertex_cover_number` size the
+    minimum solutions without building the lexicographically smallest."""
+
+    def test_numbers_are_the_unbounded_sizes(self):
+        graphs = _size_test_graphs()
+        assert len(graphs) == 920
+        for g in graphs:
+            assert feedback_vertex_set_number(g) == len(unbounded_minimum_feedback_vertex_set(g))
+            assert vertex_cover_number(g) == len(unbounded_minimum_vertex_cover(g))
+
+    def test_greedy_fvs_is_a_feedback_vertex_set_of_the_core(self):
+        for g in _size_test_graphs():
+            adj, alive = _masks(g)
+            core = _two_core(adj, alive, alive)
+            greedy = _greedy_fvs(adj, core)
+            assert greedy & ~core == 0
+            assert _two_core(adj, core & ~greedy, core) == 0
+            assert _is_acyclic(g, frozenset(v for v in range(g.vertex_count) if greedy >> v & 1))
+            assert greedy.bit_count() >= feedback_vertex_set_number(g)
 
 
 # A x = 1 solvable with 1^T x = 0 and -1/2: no positive constant exists
