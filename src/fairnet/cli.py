@@ -129,7 +129,7 @@ def _print_outcome(outcome: SolveOutcome, choice: SolverChoice, algo: str, n: in
     print(f"vc {choice.vc if choice.vc is not None else '-'}")
     if choice.regular is not None:
         print(f"r {choice.regular}")
-    print(f"strategy {choice.tag.value if algo == 'auto' else algo}")
+    print(f"strategy {outcome.stats.strategy if algo == 'auto' else algo}")
     print(f"nodes {outcome.stats.nodes}")
     print(f"ilp_calls {outcome.stats.ilp_calls}")
     for line in outcome.stats.trace:

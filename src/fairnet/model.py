@@ -35,7 +35,7 @@ class InputError(FairnetError):
 
 
 class RefusalError(FairnetError):
-    """A solver declined to decide (size cap, timeout).  Never a verdict."""
+    """A solver declined to decide (node budget, timeout).  Never a verdict."""
 
 
 class _Vacuous:
@@ -267,12 +267,17 @@ class Verdict(Enum):
 
 @dataclass
 class SolveStats:
-    """Deterministic solver effort counters plus a human-readable trace."""
+    """Deterministic solver effort counters plus a human-readable trace.
+
+    strategy: the named strategy the dispatcher ran, or "auto" when its own
+    screens and closed forms decided.
+    """
 
     nodes: int = 0
     ilp_calls: int = 0
     elapsed: float = 0.0
     trace: list[str] = field(default_factory=list)
+    strategy: str = "auto"
 
     def absorb(self, other: "SolveStats") -> None:
         self.nodes += other.nodes

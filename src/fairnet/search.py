@@ -19,6 +19,8 @@ a node, so only the free positions are searched.
 An equation is "the labels fed into it, plus `pending` labels still to
 come, sum to K".  With nothing pending it is checked exactly; otherwise K
 must lie between its completions by the smallest and by the largest value.
+Every search shares one node budget, `ENUMERATION_CAP`: past it the search
+refuses instead of running on.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .model import LabelMultiset, SolveStats
+from .model import LabelMultiset, RefusalError, SolveStats
 from .structure import PivotMap
+
+# nodes any one search may try; the dispatcher plans no larger enumeration
+ENUMERATION_CAP = 5_000_000
 
 # an internal forest vertex and, per child w, the neighbors of w but the vertex
 ForcingStep = tuple[int, tuple[tuple[int, ...], ...]]
@@ -90,7 +95,8 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
     steps and root checks need a given K.  The yielded list is the live
     search state, valid until the generator resumes.  `stats.nodes` counts
     each tried (position, value) pair with a copy left, at positions the
-    maps leave free; maps apply only with a given K.
+    maps leave free; maps apply only with a given K.  Once `stats.nodes`
+    exceeds `ENUMERATION_CAP` the search raises RefusalError.
     """
     order, feeds = tables.order, tables.feeds
     size = len(order)
@@ -111,6 +117,7 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
         rule = None if tie is None and linear is None else (anchor, equal, linear)
         slots.append((v, feeds[v], rule, forcing_at[i], tables.checks_at[i], held[i],
                       int(linear is None)))
+    budget = ENUMERATION_CAP
     distinct = labels.distinct_values
     low, high = distinct[0], distinct[-1]
     remaining = dict(labels.counts)  # a plain dict subscripts faster than a Counter
@@ -168,7 +175,10 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
         for value in options:
             if remaining[value] == 0:
                 continue
-            stats.nodes += tried
+            nodes = stats.nodes + tried
+            if nodes > budget:
+                raise RefusalError(f"search exceeds the node budget of {budget} nodes")
+            stats.nodes = nodes
             remaining[value] -= 1
             value_of[v] = value
             forced = force(steps, k) if steps else ()

@@ -1,34 +1,33 @@
 """Decision procedures: exhaustive oracle, parameterized solvers, dispatcher.
 
-All solvers are exact on their stated domain and report Fair only through a
-re-verified certificate.  Resource limits surface as RefusalError, never as
-a verdict.  The oracle and the two enumerating strategies (vc-alpha,
+All solvers are exact on their stated domain and report Fair only through
+a re-verified certificate.  Resource limits surface as RefusalError, never
+as a verdict.  The oracle and the two enumerating strategies (vc-alpha,
 fvs-alpha-delta) each build tables for the one ordered search in
-`search.ordered_search`.  Without a requested constant they decide the
-one constant a fair labeling can have: if A x = 1 on each component, the
-multiset sums to 1^T l = x^T A l = K 1^T x, so K = sum(S) / sum_C s_C
-(`_forced_constant`).  The oracle returns the lexicographically smallest
-fair labeling and breaks symmetry with it: for an automorphism s, l o s is
-fair whenever l is, so that labeling gives vertex 0 the smallest label of
-its orbit (the lex-leader rule), and the orbit's vertices are floored at
-vertex 0's label.  With the constant known it labels only the free
-vertices of A l = K 1: the elimination behind the forced constant fixes
-every pivot vertex's label from K and the labels before it, and the
-forest-boundary enumeration of fvs-alpha-delta does the same in its own
-labeling order.  The dispatcher adds the screens and the closed forms
-(disjoint stars, disjoint cycles), sends the other regular graphs to the
-oracle, and hands the constant to the strategy it picks.
-`solve_regular_fvs` and `solve_vc_delta` are names for the dispatcher on
-a regular graph and for the oracle.
+`search.ordered_search`, which refuses past its node budget.  Without a
+requested constant they decide the one constant a fair labeling can have:
+if A x = 1 on each component, the multiset sums to 1^T l = x^T A l =
+K 1^T x, so K = sum(S) / sum_C s_C (`_forced_constant`).  The oracle returns the
+lexicographically smallest fair labeling and breaks symmetry with it: for
+an automorphism s, l o s is fair whenever l is, so that labeling gives
+vertex 0 the smallest label of its orbit (the lex-leader rule), and the
+orbit's vertices are floored at vertex 0's label.  With the constant known
+it labels only the free vertices of A l = K 1: the elimination behind the
+forced constant fixes every pivot vertex's label from K and the labels
+before it, and the forest-boundary enumeration of fvs-alpha-delta does the
+same in its own labeling order.  The dispatcher adds the screens and the
+closed forms (disjoint stars, disjoint cycles), sends the other regular
+graphs to the oracle, and hands the constant to the strategy it picks,
+recording its name in the outcome's stats.  `solve_regular_fvs` and
+`solve_vc_delta` are names for the dispatcher on a regular graph and for
+the oracle.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
 from typing import Callable
 
 from .ilp import Allocation, solve_feasible
@@ -47,7 +46,7 @@ from .model import (
     require_constant,
     timed,
 )
-from .search import SearchTables, ordered_search
+from .search import ENUMERATION_CAP, SearchTables, ordered_search
 from .special import _solve_cycles, enumerate_boundary_extensions, solve_disjoint_stars
 from .structure import (
     Elimination,
@@ -64,14 +63,10 @@ from .structure import (
     vertex_cover_number,
 )
 
-# refuse exhaustive search beyond this many twin classes (env-overridable)
-ORACLE_CLASS_CAP = 12
 # refinement nodes the oracle's automorphism search may spend
 ORBIT_NODE_BUDGET = 64
 # exact fvs/vc are only attempted below this vertex count
 EXACT_PARAM_LIMIT = 32
-# upper bound on the nominal enumeration size a strategy may plan for
-ENUMERATION_CAP = 5_000_000
 
 
 class StrategyTag(Enum):
@@ -83,13 +78,12 @@ class StrategyTag(Enum):
 
 @dataclass(frozen=True)
 class SolverChoice:
-    """Strategy pick plus the structural parameters it was based on.
+    """The structural parameters `fairnet solve` reports.
 
     fvs and vc are exact minimum sizes, reported as None when the graph is
     too large for exact computation.  regular is the common degree or None.
     """
 
-    tag: StrategyTag
     fvs: int | None
     vc: int | None
     alpha: int
@@ -97,26 +91,12 @@ class SolverChoice:
     regular: int | None
 
 
-def _oracle_cap() -> int:
-    raw = os.environ.get("FAIRNET_ORACLE_CAP")
-    if raw is None:
-        return ORACLE_CLASS_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InputError(f"FAIRNET_ORACLE_CAP must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InputError("FAIRNET_ORACLE_CAP must be positive")
-    return cap
-
-
 def _vacuous_outcome(labels: LabelMultiset, stats: SolveStats) -> SolveOutcome:
     cert = FairnessCertificate(labels.values, None)
     return SolveOutcome.make_fair(cert, stats)
 
 
-def _oracle_tables(graph: Graph,
-                   elimination: Callable[[], Elimination] | None = None) -> SearchTables:
+def _oracle_tables(graph: Graph, elimination: Elimination | None = None) -> SearchTables:
     """Exhaustive search over label assignments, pruned by symmetry and by
     the linear system A l = K 1.
 
@@ -134,16 +114,12 @@ def _oracle_tables(graph: Graph,
     at or above it: vertex 0 takes at most the |orbit|-th largest label.
     Every vertex whose neighborhood is fully labeled pins the constant;
     partially labeled neighborhoods prune via min/max completions.  Given
-    the elimination (called past the cap check, so a refusal stays cheap),
-    each pivot vertex gets its `PivotMap`: it involves only free vertices
-    with lower ids, so with K known the pivot's label is fixed when it is
-    reached, and only free vertices are searched.  Two fair labelings first
+    the elimination, each pivot vertex gets its `PivotMap`: it involves
+    only free vertices with lower ids, so with K known the pivot's label is
+    fixed when it is reached, and only free vertices are searched.  Two fair labelings first
     differ at a free vertex, so the first one found is still the smallest.
     """
     part = twin_classes(graph)
-    cap = _oracle_cap()
-    if len(part.classes) > cap:
-        raise RefusalError(f"{len(part.classes)} twin classes exceed the search cap {cap}")
     ties: list[tuple[int, bool] | None] = [None] * graph.vertex_count
     for cls in part.classes:
         for a, b in zip(cls.vertices, cls.vertices[1:]):
@@ -159,7 +135,7 @@ def _oracle_tables(graph: Graph,
             tie = ties[tie[0]]
     maps: tuple = ()
     if elimination:
-        pivots = elimination().pivots
+        pivots = elimination.pivots
         maps = tuple(pivots.get(v) for v in range(graph.vertex_count))
     adjacency = graph.adjacency
     return SearchTables(
@@ -175,7 +151,7 @@ def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> S
     Searches the requested constant, or else the forced one
     (`_forced_constant`), the only constant a fair labeling can have; one
     elimination serves that constant and the pivot maps.  Refuses (rather
-    than guessing) when the twin-class count exceeds the configured cap.
+    than guessing) when the search passes its node budget.
     """
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
@@ -188,11 +164,10 @@ def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> S
         # an isolated vertex sees 0 while its constrained peers see >= 1
         stats.trace.append("isolated vertex next to constrained vertices")
         return SolveOutcome.make_unfair(stats)
-    # run once, and only past the cap check in `_oracle_tables`
-    elimination = cache(partial(eliminate, graph))
+    elimination = eliminate(graph)
     tables = _oracle_tables(graph, elimination)
     if k is None:
-        k = _forced_constant(graph, labels, elimination())
+        k = _forced_constant(graph, labels, elimination)
         if k is None:
             stats.trace.append("no fairness constant")
             return SolveOutcome.make_unfair(stats)
@@ -401,7 +376,6 @@ def solve_regular_fvs(
 @dataclass(frozen=True)
 class _GeneralPlan:
     tag: StrategyTag
-    fvs_size: int | None
     vc_size: int | None
     boundary_size: int | None
     est_vc: int | None
@@ -435,7 +409,7 @@ def _non_star_part(
 def _plan_general(graph: Graph, labels: LabelMultiset, report: ShapeReport) -> _GeneralPlan:
     """Pick between the two enumeration strategies by nominal search size."""
     if graph.vertex_count > EXACT_PARAM_LIMIT:
-        return _GeneralPlan(StrategyTag.ORACLE, None, None, None, None, None)
+        return _GeneralPlan(StrategyTag.ORACLE, None, None, None, None)
     alpha = labels.alpha
     g1, _, fvs, forest = _non_star_part(graph, report)
     forest_set = set(forest)
@@ -449,48 +423,32 @@ def _plan_general(graph: Graph, labels: LabelMultiset, report: ShapeReport) -> _
     est_vc = alpha ** vc
     est_fvs = alpha ** boundary
     if min(est_vc, est_fvs) > ENUMERATION_CAP:
-        return _GeneralPlan(StrategyTag.ORACLE, len(fvs), vc, boundary, est_vc, est_fvs)
+        return _GeneralPlan(StrategyTag.ORACLE, vc, boundary, est_vc, est_fvs)
     tag = StrategyTag.VC_ALPHA if est_vc <= est_fvs else StrategyTag.FVS_ALPHA_DELTA
-    return _GeneralPlan(tag, len(fvs), vc, boundary, est_vc, est_fvs)
+    return _GeneralPlan(tag, vc, boundary, est_vc, est_fvs)
 
 
 def parameter_report(graph: Graph, labels: LabelMultiset) -> SolverChoice:
-    """Structural parameters plus the strategy the dispatcher would run.
+    """The structural parameters of the instance, from size-only searches.
 
-    The tag is AUTO when the instance is settled by the dispatcher's own
-    screens and closed forms (edgeless, isolated vertices, pendant screen,
-    disjoint stars, disjoint cycles, a regular graph with no constant)
-    rather than by a named strategy, and ORACLE on the other regular
-    graphs, which the dispatcher hands to it.  The sizes come from size-only
-    searches, or from the general plan when it runs: star components are
-    acyclic, so the FVS of the non-star part is one of the whole graph.
+    Nothing here re-plans: the strategy `solve_auto` ran is the
+    `strategy` of its outcome's stats.
     """
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
-    n = graph.vertex_count
-    alpha = labels.alpha
-    delta = graph.max_degree()
-    r = graph.regular_degree()
-    report = classify(graph)
-    fvs_size: int | None = None
-    vc_size: int | None = None
-    if report.shape in (
-        Shape.EDGELESS_ONLY, Shape.HAS_ISOLATED_MIXED, Shape.DISJOINT_STARS, Shape.DISJOINT_CYCLES,
-    ) or _pendant_screen(graph, SolveStats(), report):
-        tag = StrategyTag.AUTO
-    elif report.shape is Shape.REGULAR:
-        low, high, _ = constant_bounds(graph, labels)
-        tag = StrategyTag.ORACLE if low <= high else StrategyTag.AUTO
-    else:
-        plan = _plan_general(graph, labels, report)
-        tag, fvs_size, vc_size = plan.tag, plan.fvs_size, plan.vc_size
-    if fvs_size is None and 0 < n <= EXACT_PARAM_LIMIT:
-        fvs_size, vc_size = feedback_vertex_set_number(graph), vertex_cover_number(graph)
-    return SolverChoice(tag, fvs_size, vc_size, alpha, delta, r)
+    exact = 0 < graph.vertex_count <= EXACT_PARAM_LIMIT
+    return SolverChoice(
+        feedback_vertex_set_number(graph) if exact else None,
+        vertex_cover_number(graph) if exact else None,
+        labels.alpha,
+        graph.max_degree(),
+        graph.regular_degree(),
+    )
 
 
 def _adopt(stats: SolveStats, sub: SolveOutcome) -> SolveOutcome:
-    """The delegate's verdict under the caller's stats, which absorb its effort."""
+    """The delegate's verdict under the caller's stats, which absorb its
+    effort and keep their own strategy."""
     stats.absorb(sub.stats)
     return SolveOutcome(sub.verdict, sub.certificate, stats)
 
@@ -621,6 +579,7 @@ def solve_auto(
             stats.trace.append(f"{regular}: no fairness constant")
             return SolveOutcome.make_unfair(stats)
         stats.trace.append(f"{regular}, constant {low}: strategy oracle")
+        stats.strategy = StrategyTag.ORACLE.value
         return _adopt(stats, solve_oracle(graph, labels, k))
 
     candidates = _candidates(graph, labels, k)
@@ -638,6 +597,7 @@ def solve_auto(
             else ""
         )
     )
+    stats.strategy = plan.tag.value
     runner = {
         StrategyTag.ORACLE: solve_oracle,
         StrategyTag.VC_ALPHA: solve_vc_alpha,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -22,7 +21,6 @@ from fairnet import (
     IntegerProgram,
     IpSolution,
     LabelMultiset,
-    RefusalError,
     VACUOUS,
     complete_bipartite,
     cycle_graph,
@@ -42,22 +40,17 @@ from fairnet.model import (
 )
 from fairnet.search import ForcingStep, SearchTables, ordered_search
 from fairnet.solvers import (
-    ENUMERATION_CAP,
     EXACT_PARAM_LIMIT,
     ORBIT_NODE_BUDGET,
     SolverChoice,
-    StrategyTag,
     _adopt,
-    _oracle_cap,
     solve_oracle,
 )
 from fairnet.special import ForestExtender, PartialAssignment, _solve_cycles, star_decomposition
 from fairnet.structure import (
     Elimination,
     PivotMap,
-    Shape,
     _cancel,
-    classify,
     connected_components,
     first_vertex_orbit,
     minimum_feedback_vertex_set,
@@ -617,9 +610,6 @@ def reference_oracle_tables(graph: Graph) -> SearchTables:
     partially labeled neighborhoods prune via min/max completions.
     """
     part = twin_classes(graph)
-    cap = _oracle_cap()
-    if len(part.classes) > cap:
-        raise RefusalError(f"{len(part.classes)} twin classes exceed the search cap {cap}")
     ties: list[tuple[int, bool] | None] = [None] * graph.vertex_count
     for cls in part.classes:
         for a, b in zip(cls.vertices, cls.vertices[1:]):
@@ -652,9 +642,6 @@ def orbit_oracle_tables(graph: Graph) -> SearchTables:
     partially labeled neighborhoods prune via min/max completions.
     """
     part = twin_classes(graph)
-    cap = _oracle_cap()
-    if len(part.classes) > cap:
-        raise RefusalError(f"{len(part.classes)} twin classes exceed the search cap {cap}")
     ties: list[tuple[int, bool] | None] = [None] * graph.vertex_count
     for cls in part.classes:
         for a, b in zip(cls.vertices, cls.vertices[1:]):
@@ -984,91 +971,12 @@ def reference_enumerate_boundary_extensions(
         yield {v: values[v] for v in order}
 
 
-# `parameter_report` and the planning it ran before the report sized FVS and
-# VC without building them, copied verbatim (only renamed; the plan's type is
-# the one of that time).  The report must give the same `SolverChoice`,
-# except the tag of a regular graph with no fairness constant.
-@dataclass(frozen=True)
-class ReferenceGeneralPlan:
-    tag: StrategyTag
-    vc_size: int | None
-    boundary_size: int | None
-    est_vc: int | None
-    est_fvs: int | None
-
-
-def reference_pendant_screen(graph: Graph, stats: SolveStats) -> bool:
-    """True when some component has a pendant vertex but is not a star.
-
-    Such a component admits no fair labeling at all: a pendant vertex's
-    equation forces its neighbor's label to the constant, and propagating
-    that around a connected non-star component always collides.
-    """
-    report = classify(graph)
-    for comp, kind in zip(report.components, report.component_kinds):
-        if kind == "tree" or (
-            kind == "general" and any(graph.degree(v) == 1 for v in comp)
-        ):
-            stats.trace.append(
-                f"component {comp[0]}..: pendant vertex in a non-star component"
-            )
-            return True
-    return False
-
-
-def reference_non_star_part(graph: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...], list[int]]:
-    """The subgraph induced outside the star components, the ids of its
-    vertices in `graph`, its minimum feedback vertex set and the forest that
-    set leaves (both in the subgraph's ids).  Refuses when the subgraph is
-    too large for an exact feedback vertex set."""
-    report = classify(graph)
-    rest = [
-        v
-        for comp, kind in zip(report.components, report.component_kinds)
-        if kind != "star"
-        for v in comp
-    ]
-    if len(rest) > EXACT_PARAM_LIMIT:
-        raise RefusalError(
-            f"non-star part has {len(rest)} vertices; exact feedback"
-            f" vertex sets are limited to {EXACT_PARAM_LIMIT}"
-        )
-    part, ids = graph.induced(rest)
-    fvs = minimum_feedback_vertex_set(part)
-    in_fvs = set(fvs)
-    return part, ids, fvs, [v for v in range(part.vertex_count) if v not in in_fvs]
-
-
-def reference_plan_general(graph: Graph, labels: LabelMultiset) -> ReferenceGeneralPlan:
-    """Pick between the two enumeration strategies by nominal search size."""
-    if graph.vertex_count > EXACT_PARAM_LIMIT:
-        return ReferenceGeneralPlan(StrategyTag.ORACLE, None, None, None, None)
-    alpha = labels.alpha
-    g1, _, fvs, forest = reference_non_star_part(graph)
-    forest_set = set(forest)
-    leaves = sum(
-        1
-        for v in forest
-        if sum(1 for u in g1.adjacency[v] if u in forest_set) <= 1
-    )
-    vc = minimum_vertex_cover(graph)
-    boundary = len(fvs) + leaves
-    est_vc = alpha ** len(vc)
-    est_fvs = alpha ** boundary
-    if min(est_vc, est_fvs) > ENUMERATION_CAP:
-        return ReferenceGeneralPlan(StrategyTag.ORACLE, len(vc), boundary, est_vc, est_fvs)
-    tag = StrategyTag.VC_ALPHA if est_vc <= est_fvs else StrategyTag.FVS_ALPHA_DELTA
-    return ReferenceGeneralPlan(tag, len(vc), boundary, est_vc, est_fvs)
-
-
+# `parameter_report` as it was before the report sized FVS and VC without
+# building them, copied verbatim (only renamed) but for its strategy tag,
+# which the dispatcher now records itself.  The report must give the same
+# `SolverChoice`.
 def reference_parameter_report(graph: Graph, labels: LabelMultiset) -> SolverChoice:
-    """Structural parameters plus the strategy the dispatcher would run.
-
-    The tag is AUTO when the instance is settled by the dispatcher's own
-    screens and closed forms (edgeless, isolated vertices, pendant screen,
-    disjoint stars, disjoint cycles) rather than by a named strategy, and
-    ORACLE on the other regular graphs, which the dispatcher hands to it.
-    """
+    """Structural parameters."""
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
     n = graph.vertex_count
@@ -1081,13 +989,4 @@ def reference_parameter_report(graph: Graph, labels: LabelMultiset) -> SolverCho
     else:
         fvs_size = None
         vc_size = None
-    shape = classify(graph).shape
-    if shape in (
-        Shape.EDGELESS_ONLY, Shape.HAS_ISOLATED_MIXED, Shape.DISJOINT_STARS, Shape.DISJOINT_CYCLES,
-    ) or reference_pendant_screen(graph, SolveStats()):
-        tag = StrategyTag.AUTO
-    elif shape is Shape.REGULAR:
-        tag = StrategyTag.ORACLE
-    else:
-        tag = reference_plan_general(graph, labels).tag
-    return SolverChoice(tag, fvs_size, vc_size, alpha, delta, r)
+    return SolverChoice(fvs_size, vc_size, alpha, delta, r)

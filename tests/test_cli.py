@@ -20,7 +20,7 @@ from fairnet import (
     star_graph,
     write_instance,
 )
-from fairnet import cli
+from fairnet import cli, search
 from fairnet.cli import main
 
 C4_TEXT = """fairnet v1
@@ -160,6 +160,15 @@ class TestSolve:
         assert "\nstrategy auto\nnodes 0\n" in out
         assert out.endswith("trace regular graph of degree 4: no fairness constant\n")
 
+    def test_requested_constant_off_the_forced_one_names_auto(self, tmp_path, capsys):
+        # the forced constant is 4 * 55 / 10 = 22: any other k is unfair at once
+        path = str(tmp_path / "c")
+        main(["generate", "circulant", "--n", "10", "--r", "4", "--out", path])
+        assert main(["solve", path, "--k", "21"]) == 1
+        out = capsys.readouterr().out
+        assert "\nstrategy auto\nnodes 0\n" in out
+        assert out.endswith("trace regular graph of degree 4: no fairness constant\n")
+
     def test_fvs_alpha_delta_counts_nodes(self, tmp_path, capsys):
         # an unfair search reports the (vertex, value) pairs it tried
         main(["generate", "circulant", "--n", "10", "--r", "4", "--out", str(tmp_path / "c")])
@@ -240,14 +249,17 @@ class TestOracle:
         assert main(["oracle", put(tmp_path, "c4", C4_TEXT)]) == 0
         assert "k 5" in capsys.readouterr().out
 
-    def test_refusal_over_cap(self, tmp_path, capsys):
-        assert main(["oracle", put(tmp_path, "c13", C13_TEXT)]) == 2
-        assert "refused:" in capsys.readouterr().err
-
-    def test_cap_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FAIRNET_ORACLE_CAP", "20")
-        assert main(["oracle", put(tmp_path, "c13", C13_TEXT)]) in (0, 1)
+    def test_refusal_past_the_node_budget(self, tmp_path, monkeypatch, capsys):
+        # the oracle takes 16 nodes on the 16-cycle with labels 1..16
+        monkeypatch.setattr(search, "ENUMERATION_CAP", 10)
+        main(["generate", "circulant", "--n", "16", "--r", "2", "--out", str(tmp_path / "c16")])
         capsys.readouterr()
+        assert main(["oracle", str(tmp_path / "c16")]) == 2
+        assert "refused: search exceeds the node budget of 10 nodes" in capsys.readouterr().err
+
+    def test_thirteen_twin_classes_are_searched(self, tmp_path, capsys):
+        assert main(["oracle", put(tmp_path, "c13", C13_TEXT)]) == 1
+        assert "\nstrategy oracle\nnodes 0\n" in capsys.readouterr().out
 
 
 class TestVerify:
@@ -584,7 +596,7 @@ GOLDEN = [    (
         'alpha 8\n'
         'fvs 2\n'
         'vc 6\n'
-        'strategy vc-alpha\n'
+        'strategy auto\n'
         'ilp_calls 0\n'
         'trace candidates []\n',
     ),

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -11,7 +10,6 @@ from fairnet import (
     RefusalError,
     SemiMagicSpec,
     Shape,
-    StrategyTag,
     ThreePartitionInstance,
     Verdict,
     XsatFormula,
@@ -37,7 +35,7 @@ from fairnet import (
     star_graph,
     verify,
 )
-from fairnet import solvers, special, structure
+from fairnet import search, solvers, special, structure
 from fairnet.cli import run_algorithm
 from fairnet.model import SolveStats
 from fairnet.search import SearchTables, ordered_search
@@ -102,25 +100,63 @@ class TestOracle:
                 assert result == out.certificate.constant
                 assert result in constants
 
-    def test_refuses_many_twin_classes(self):
-        # a path of 13 vertices has 13 twin classes, above the default cap
-        with pytest.raises(RefusalError):
-            solve_oracle(path_graph(13), S(*range(1, 14)))
-
-    def test_cap_override(self, monkeypatch):
-        monkeypatch.setenv("FAIRNET_ORACLE_CAP", "20")
-        out = solve_oracle(path_graph(13), S(*([1] * 13)))
-        assert not out.fair  # pendant chain of length 13 cannot balance
-
-    def test_cap_override_validation(self, monkeypatch):
-        monkeypatch.setenv("FAIRNET_ORACLE_CAP", "zero")
-        with pytest.raises(InputError):
-            solve_oracle(path_graph(13), S(*range(1, 14)))
-
     def test_oracle_constants(self):
         assert oracle_constants(cycle_graph(4), S(1, 2, 3, 4)) == [5]
         assert oracle_constants(cycle_graph(6), S(1, 2, 3, 1, 2, 3)) == []
         assert oracle_constants(empty_graph(2), S(1, 2)) == []
+
+
+def hypercube(d):
+    n = 1 << d
+    edges = [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1]
+    return Graph.from_edges(n, edges)
+
+
+def grid(rows, cols):
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+class TestNodeBudget:
+    """Every search refuses once it has tried more nodes than the budget."""
+
+    @pytest.mark.parametrize("solve", [solve_oracle, solve_vc_alpha, solve_fvs_alpha_delta])
+    def test_each_enumerator_refuses_past_the_budget(self, monkeypatch, solve):
+        # Q4 with labels 1..16 takes the oracle 297,868 nodes
+        monkeypatch.setattr(search, "ENUMERATION_CAP", 1000)
+        with pytest.raises(RefusalError, match="node budget of 1000 nodes"):
+            solve(hypercube(4), S(*range(1, 17)))
+
+    def test_a_search_may_use_the_whole_budget(self, monkeypatch):
+        # the 8-cycle with labels 1..8 is unfair after 8 nodes
+        graph, labels = cycle_graph(8), S(*range(1, 9))
+        monkeypatch.setattr(search, "ENUMERATION_CAP", 8)
+        out = solve_oracle(graph, labels)
+        assert not out.fair and out.stats.nodes == 8
+        monkeypatch.setattr(search, "ENUMERATION_CAP", 7)
+        with pytest.raises(RefusalError, match="node budget of 7 nodes"):
+            solve_oracle(graph, labels)
+
+    def test_the_planner_reads_the_search_budget(self):
+        assert solvers.ENUMERATION_CAP is search.ENUMERATION_CAP == 5_000_000
+
+    XSAT = gen_xsat(XsatFormula(3, ((0, 1, 2),) * 3))
+
+    @pytest.mark.parametrize(
+        "graph, labels, fair, nodes",
+        [
+            # more than 12 twin classes each, but small searches
+            (XSAT.graph, XSAT.labels, True, 2),
+            (hypercube(4), S(*[1, 2] * 8), True, 8),
+            (grid(4, 5), S(*range(1, 21)), False, 0),
+        ],
+        ids=["xsat", "q4", "grid-4x5"],
+    )
+    def test_many_twin_classes_are_decided(self, graph, labels, fair, nodes):
+        for solve in (solve_auto, solve_oracle):
+            out = solve(graph, labels)
+            assert (out.fair, out.stats.nodes) == (fair, nodes)
 
 
 class TestVcDelta:
@@ -418,19 +454,31 @@ class TestAuto:
 class TestParameterReport:
     def test_cycle(self):
         choice = parameter_report(cycle_graph(4), S(1, 2, 3, 4))
-        assert choice.tag is StrategyTag.AUTO
+        assert solve_auto(cycle_graph(4), S(1, 2, 3, 4)).stats.strategy == "auto"
         assert choice.fvs == 1 and choice.vc == 2
         assert choice.delta == 2 and choice.alpha == 4 and choice.regular == 2
 
     def test_stars_use_closed_form(self):
-        choice = parameter_report(star_graph(3), S(1, 2, 3, 6))
-        assert choice.tag is StrategyTag.AUTO
+        assert solve_auto(star_graph(3), S(1, 2, 3, 6)).stats.strategy == "auto"
 
     def test_general_graph_picks_bounded_strategy(self):
+        # two triangles sharing vertex 2, which takes 3 and the rest 1, K = 4
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-        choice = parameter_report(g, S(1, 1, 2, 2, 2))
-        assert choice.tag in (StrategyTag.VC_ALPHA, StrategyTag.FVS_ALPHA_DELTA)
-        assert choice.fvs is not None and choice.vc is not None
+        labels = S(1, 1, 3, 1, 1)
+        assert solve_auto(g, labels).stats.strategy in ("vc-alpha", "fvs-alpha-delta")
+        choice = parameter_report(g, labels)
+        assert choice.fvs == 1 and choice.vc == 3
+
+    def test_runs_no_shape_screen_or_plan(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("the report re-planned")
+
+        for name in ("classify", "_plan_general", "constant_bounds"):
+            monkeypatch.setattr(solvers, name, unexpected)
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+        instances = ((g, S(1, 1, 3, 1, 1)), (k4(), S(1, 2, 3, 4)), (star_graph(3), S(1, 2, 3, 6)))
+        for graph, labels in instances:
+            assert parameter_report(graph, labels).fvs is not None
 
     def test_large_graph_skips_exact_parameters(self):
         n = 40
@@ -766,8 +814,6 @@ class TestLinearForcing:
     """The pivot maps keep the oracle's outcome, in no more nodes."""
 
     def test_same_outcomes_as_the_orbit_oracle(self, monkeypatch):
-        # semimagic grids have 15 twin classes: lift the cap for both sides
-        monkeypatch.setenv("FAIRNET_ORACLE_CAP", "16")
         rng = random.Random(1013)
         fair_count = saved = 0
         for graph, labels in _forcing_instances(rng):
@@ -800,16 +846,6 @@ class TestLinearForcing:
             calls.clear()
             assert solve_oracle(made.graph, made.labels, k).fair
             assert calls == ["eliminate"]
-
-    def test_refusal_comes_before_the_elimination(self, monkeypatch):
-        def unexpected(graph):
-            raise AssertionError("eliminated before the cap check")
-
-        monkeypatch.setattr(solvers, "eliminate", unexpected)
-        rng = random.Random(5)
-        graph = random_graph(rng, 40, 0.5)
-        with pytest.raises(RefusalError, match="exceed the search cap"):
-            solve_oracle(graph, random_labels(rng, 40, 3))
 
     def test_a_mapped_position_takes_its_one_value(self):
         # no equations: l_1 = (K - l_0) / 2 alone decides, for K = 5
@@ -1028,14 +1064,14 @@ class TestRegularRouting:
 
 
 _NAMED = {
-    "solve_oracle": StrategyTag.ORACLE,
-    "solve_vc_alpha": StrategyTag.VC_ALPHA,
-    "solve_fvs_alpha_delta": StrategyTag.FVS_ALPHA_DELTA,
+    "solve_oracle": "oracle",
+    "solve_vc_alpha": "vc-alpha",
+    "solve_fvs_alpha_delta": "fvs-alpha-delta",
 }
 
 
 class TestReportNamesWhatRan:
-    """`parameter_report(...).tag` names the strategy `solve_auto` ran."""
+    """`solve_auto(...).stats.strategy` names the strategy it ran."""
 
     def _instances(self, rng):
         instances = _regular_instances(rng)[::4]
@@ -1073,14 +1109,13 @@ class TestReportNamesWhatRan:
         ran = set()
         for graph, labels in self._instances(random.Random(1314)):
             calls.clear()
-            outcome = solve_auto(graph, labels)
-            tag = parameter_report(graph, labels).tag
+            strategy = solve_auto(graph, labels).stats.strategy
             if calls:
-                assert tag is _NAMED[calls[0]]
-                ran.add(tag)
+                assert strategy == _NAMED[calls[0]]
+                ran.add(strategy)
             else:
                 # a closed form or a screen settled it, or no constant survived
-                assert tag is StrategyTag.AUTO or outcome.stats.trace[-1] == "candidates []"
+                assert strategy == "auto"
             shapes.add(structure.classify(graph).shape)
         assert shapes == set(Shape)
         assert ran == set(_NAMED.values())
@@ -1138,25 +1173,15 @@ def _report_instances(rng):
 
 
 class TestReportSizes:
-    """The report sizes FVS and VC without building them and reads them off
-    the general plan when it runs: the `SolverChoice` of the former report."""
+    """The report sizes FVS and VC without building them: the parameters of
+    the former report, which built them."""
 
     def test_same_choice_as_the_reference(self):
         instances = _report_instances(random.Random(1616))
         assert len(instances) >= 900
-        tags = set()
-        unsized = retagged = 0
+        unsized = 0
         for graph, labels in instances:
-            expected = reference_parameter_report(graph, labels)
             choice = parameter_report(graph, labels)
-            tags.add(choice.tag)
+            assert choice == reference_parameter_report(graph, labels)
             unsized += choice.fvs is None
-            if choice != expected:
-                # a regular graph with no constant is settled by the dispatcher
-                assert structure.classify(graph).shape is Shape.REGULAR
-                assert solve_auto(graph, labels).stats.trace[-1].endswith("no fairness constant")
-                assert (expected.tag, choice.tag) == (StrategyTag.ORACLE, StrategyTag.AUTO)
-                assert dataclasses.replace(expected, tag=StrategyTag.AUTO) == choice
-                retagged += 1
-        assert tags == set(StrategyTag)
-        assert unsized >= 30 and retagged >= 10
+        assert unsized >= 30
