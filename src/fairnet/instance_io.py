@@ -60,30 +60,29 @@ def _parse_int(token: str, lineno: int) -> int:
 
 def read_instance(text: str) -> Instance:
     """Parse a document, validating structure and re-verifying any certificate."""
-    directives: list[tuple[int, str, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        directives.append((lineno, parts[0], parts[1:]))
-    if not directives:
-        raise InputError("line 1: missing header")
-    lineno, keyword, args = directives[0]
-    if f"{keyword} {' '.join(args)}" != HEADER:
-        raise InputError(f"line {lineno}: expected header {HEADER!r}")
-
+    header = False
     vertex_count: int | None = None
-    edges: list[tuple[int, int]] = []
-    edge_lines: list[int] = []
+    edges: list[tuple[int, int, int]] = []
     label_counts: dict[int, int] = {}
     k: int | None = None
     metadata: dict[str, str] = {}
     cert_labels: tuple[int, ...] | None = None
     cert_k: int | None = None
 
-    for lineno, keyword, args in directives[1:]:
-        if keyword == "vertices":
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        keyword, args = parts[0], parts[1:]
+        if not header:
+            if " ".join(parts) != HEADER:
+                raise InputError(f"line {lineno}: expected header {HEADER!r}")
+            header = True
+        elif keyword == "edge":
+            if len(args) != 2:
+                raise InputError(f"line {lineno}: edge takes two arguments")
+            edges.append((_parse_int(args[0], lineno), _parse_int(args[1], lineno), lineno))
+        elif keyword == "vertices":
             if vertex_count is not None:
                 raise InputError(f"line {lineno}: duplicate vertices directive")
             if len(args) != 1:
@@ -91,13 +90,6 @@ def read_instance(text: str) -> Instance:
             vertex_count = _parse_int(args[0], lineno)
             if vertex_count < 0:
                 raise InputError("vertices: count must be nonnegative")
-        elif keyword == "edge":
-            if len(args) != 2:
-                raise InputError(f"line {lineno}: edge takes two arguments")
-            u = _parse_int(args[0], lineno)
-            v = _parse_int(args[1], lineno)
-            edges.append((u, v))
-            edge_lines.append(lineno)
         elif keyword == "label":
             if len(args) != 2:
                 raise InputError(f"line {lineno}: label takes two arguments")
@@ -143,15 +135,18 @@ def read_instance(text: str) -> Instance:
         else:
             raise InputError(f"line {lineno}: unknown directive {keyword!r}")
 
+    if not header:
+        raise InputError("line 1: missing header")
     if vertex_count is None:
         raise InputError("vertices: directive is required")
+    # each edge once: range, self-loop, duplicate, in line order
     seen: set[tuple[int, int]] = set()
-    for (u, v), lineno in zip(edges, edge_lines):
+    for u, v, lineno in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise InputError(f"line {lineno}: edge endpoint out of range")
         if u == v:
             raise InputError(f"line {lineno}: self-loops are not allowed")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise InputError(f"line {lineno}: duplicate edge {key[0]} {key[1]}")
         seen.add(key)
@@ -161,7 +156,11 @@ def read_instance(text: str) -> Instance:
         raise InputError(
             f"label: multiset has {label_total} values for {vertex_count} vertices"
         )
-    graph = Graph.from_edges(vertex_count, edges)
+    adjacency: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in seen:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    graph = Graph(tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
     labels = LabelMultiset.from_iterable(
         value for value in sorted(label_counts) for _ in range(label_counts[value])
     )

@@ -269,7 +269,8 @@ class Verdict(Enum):
 class SolveStats:
     """Deterministic solver effort counters plus a human-readable trace.
 
-    strategy: the named strategy the dispatcher ran, or "auto" when its own
+    strategy: the strategy that decided.  A named strategy records its own
+    name; the dispatcher records the one it ran, or "auto" when its own
     screens and closed forms decided.
     """
 

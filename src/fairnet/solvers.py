@@ -8,19 +8,21 @@ fvs-alpha-delta) each build tables for the one ordered search in
 requested constant they decide the one constant a fair labeling can have:
 if A x = 1 on each component, the multiset sums to 1^T l = x^T A l =
 K 1^T x, so K = sum(S) / sum_C s_C (`_forced_constant`).  The oracle returns the
-lexicographically smallest fair labeling and breaks symmetry with it: for
-an automorphism s, l o s is fair whenever l is, so that labeling gives
-vertex 0 the smallest label of its orbit (the lex-leader rule), and the
-orbit's vertices are floored at vertex 0's label.  With the constant known
-it labels only the free vertices of A l = K 1: the elimination behind the
+lexicographically smallest fair labeling.  With the constant known it
+labels only the free vertices of A l = K 1: the elimination behind the
 forced constant fixes every pivot vertex's label from K and the labels
 before it, and the forest-boundary enumeration of fvs-alpha-delta does the
-same in its own labeling order.  The dispatcher adds the screens and the
-closed forms (disjoint stars, disjoint cycles), sends the other regular
-graphs to the oracle, and hands the constant to the strategy it picks,
-recording its name in the outcome's stats.  `solve_regular_fvs` and
-`solve_vc_delta` are names for the dispatcher on a regular graph and for
-the oracle.
+same in its own labeling order, from the one elimination that also gives
+its forced constant.  Where two or more positions are free, the oracle
+breaks symmetry with the smallest labeling: for an automorphism s, l o s
+is fair whenever l is, so that labeling gives vertex 0 the smallest label
+of its orbit (the lex-leader rule), and the orbit's vertices are floored
+at vertex 0's label.  The dispatcher adds the screens and the closed forms
+(disjoint stars, disjoint cycles), sends the other regular graphs to the
+oracle, and hands the constant to the strategy it picks, recording its
+name in the outcome's stats; each named strategy records its own name.
+`solve_regular_fvs` and `solve_vc_delta` are names for the dispatcher on a
+regular graph and for the oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from fractions import Fraction
+from typing import Callable, Sequence
 
 from .ilp import Allocation, solve_feasible
 from .model import (
@@ -67,6 +70,9 @@ from .structure import (
 ORBIT_NODE_BUDGET = 64
 # exact fvs/vc are only attempted below this vertex count
 EXACT_PARAM_LIMIT = 32
+
+# each connected component C with its s_C (`component_weights`)
+_Weights = Sequence[tuple[tuple[int, ...], Fraction | None]]
 
 
 class StrategyTag(Enum):
@@ -116,18 +122,24 @@ def _oracle_tables(graph: Graph, elimination: Elimination | None = None) -> Sear
     partially labeled neighborhoods prune via min/max completions.  Given
     the elimination, each pivot vertex gets its `PivotMap`: it involves
     only free vertices with lower ids, so with K known the pivot's label is
-    fixed when it is reached, and only free vertices are searched.  Two fair labelings first
-    differ at a free vertex, so the first one found is still the smallest.
+    fixed when it is reached, and only free vertices are searched.  Two
+    fair labelings first differ at a free vertex, so the first one found is
+    still the smallest.  The orbit is computed only when the elimination
+    leaves two or more free positions: with one, the search is one loop
+    over at most alpha values, each followed by forced pivots, where the
+    floors, which only cut labelings that are not the smallest, save less
+    than the orbit costs.
     """
     part = twin_classes(graph)
     ties: list[tuple[int, bool] | None] = [None] * graph.vertex_count
     for cls in part.classes:
         for a, b in zip(cls.vertices, cls.vertices[1:]):
             ties[b] = (a, cls.true_twin)
-    own = part.classes[0].vertices if part.classes else ()
-    for v in first_vertex_orbit(graph, part, ORBIT_NODE_BUDGET):
-        if ties[v] is None and v not in own:
-            ties[v] = (0, False)
+    if elimination is None or graph.vertex_count - len(elimination.pivots) >= 2:
+        own = part.classes[0].vertices if part.classes else ()
+        for v in first_vertex_orbit(graph, part, ORBIT_NODE_BUDGET):
+            if ties[v] is None and v not in own:
+                ties[v] = (0, False)
     held = [0] * graph.vertex_count
     for tie in ties:
         while tie is not None:
@@ -157,7 +169,7 @@ def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> S
         raise InputError("label multiset size does not match the vertex count")
     if k is not None:
         require_constant(k)
-    stats = SolveStats()
+    stats = SolveStats(strategy=StrategyTag.ORACLE.value)
     if graph.is_edgeless():
         return _vacuous_outcome(labels, stats)
     if graph.min_degree() == 0:
@@ -167,7 +179,7 @@ def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> S
     elimination = eliminate(graph)
     tables = _oracle_tables(graph, elimination)
     if k is None:
-        k = _forced_constant(graph, labels, elimination)
+        k = _forced_constant(graph, labels, elimination.weights)
         if k is None:
             stats.trace.append("no fairness constant")
             return SolveOutcome.make_unfair(stats)
@@ -229,16 +241,34 @@ def solve_fvs_alpha_delta(
     forest leaves, forcing all interior forest labels and the boundary's
     pivot labels of A l = K 1, and keeping exactly the assignments that
     satisfy every equation with leftover labels for the stars.  The
-    requested constant, or else the forced one, is decided.
+    requested constant, or else the forced one, is decided.  One
+    elimination of the non-star part, in the boundary's order, gives both
+    the pivot maps and the forced constant: s_C does not depend on the
+    order, and a star component has s_C = 2.
     """
-    constants = _constants(graph, labels, k)
-    stats = SolveStats()
+    _require_instance(graph, labels, k)
+    stats = SolveStats(strategy=StrategyTag.FVS_ALPHA_DELTA.value)
     report = classify(graph)
+    rest = _non_star_vertices(report)
+    elimination = weights = None
+    if rest and len(rest) <= EXACT_PARAM_LIMIT:
+        g1, ids1, fvs, forest, boundary = _non_star_part(graph, rest)
+        elimination = eliminate(g1, boundary)
+        found = iter(elimination.weights)
+        weights = [
+            (comp, Fraction(2) if kind == "star" else next(found)[1])
+            for comp, kind in zip(report.components, report.component_kinds)
+        ]
+    constants = [k] if k is not None else _candidates(graph, labels, weights=weights)
     if not constants or _pendant_screen(graph, stats, report):
         return SolveOutcome.make_unfair(stats)
-    g1, ids1, fvs, forest = _non_star_part(graph, report)
-    if not ids1:
+    if not rest:
         return _decide(constants, stats, lambda k: solve_disjoint_stars(graph, labels, k))
+    if elimination is None:
+        raise RefusalError(
+            f"non-star part has {len(rest)} vertices; exact feedback"
+            f" vertex sets are limited to {EXACT_PARAM_LIMIT}"
+        )
     in_g1 = set(ids1)
     g2, ids2 = graph.induced(v for v in range(graph.vertex_count) if v not in in_g1)
     stats.trace.append(f"fvs size {len(fvs)} on the non-star part")
@@ -246,7 +276,7 @@ def solve_fvs_alpha_delta(
     def decide(k: int) -> SolveOutcome:
         sub = SolveStats()
         extensions = enumerate_boundary_extensions(
-            g1, forest, labels, k, extra_boundary=fvs, stats=sub
+            g1, forest, labels, k, extra_boundary=fvs, stats=sub, elimination=elimination,
         )
         for merged in extensions:
             star_labels: tuple[int, ...] = ()
@@ -308,8 +338,9 @@ def solve_vc_alpha(
     integer feasibility program.  The requested constant, or else the forced
     one, is decided.
     """
-    constants = _constants(graph, labels, k)
-    stats = SolveStats()
+    _require_instance(graph, labels, k)
+    constants = [k] if k is not None else _candidates(graph, labels)
+    stats = SolveStats(strategy=StrategyTag.VC_ALPHA.value)
     if not constants:
         return SolveOutcome.make_unfair(stats)
     cover = minimum_vertex_cover(graph)
@@ -382,28 +413,29 @@ class _GeneralPlan:
     est_fvs: int | None
 
 
-def _non_star_part(
-    graph: Graph, report: ShapeReport
-) -> tuple[Graph, tuple[int, ...], tuple[int, ...], list[int]]:
-    """The subgraph induced outside the star components, the ids of its
-    vertices in `graph`, its minimum feedback vertex set and the forest that
-    set leaves (both in the subgraph's ids).  Refuses when the subgraph is
-    too large for an exact feedback vertex set."""
-    rest = [
+def _non_star_vertices(report: ShapeReport) -> list[int]:
+    """The vertices outside the star components, in id order."""
+    return [
         v
         for comp, kind in zip(report.components, report.component_kinds)
         if kind != "star"
         for v in comp
     ]
-    if len(rest) > EXACT_PARAM_LIMIT:
-        raise RefusalError(
-            f"non-star part has {len(rest)} vertices; exact feedback"
-            f" vertex sets are limited to {EXACT_PARAM_LIMIT}"
-        )
+
+
+def _non_star_part(
+    graph: Graph, rest: list[int]
+) -> tuple[Graph, tuple[int, ...], tuple[int, ...], list[int], list[int]]:
+    """The subgraph induced on the non-star vertices `rest`, the ids of its
+    vertices in `graph`, and in the subgraph's ids its minimum feedback
+    vertex set, the forest that set leaves, and the boundary fvs-alpha-delta
+    labels: the set plus the forest's leaves, sorted."""
     part, ids = graph.induced(rest)
     fvs = minimum_feedback_vertex_set(part)
     in_fvs = set(fvs)
-    return part, ids, fvs, [v for v in range(part.vertex_count) if v not in in_fvs]
+    forest = [v for v in range(part.vertex_count) if v not in in_fvs]
+    leaves = [v for v in forest if sum(1 for u in part.adjacency[v] if u not in in_fvs) <= 1]
+    return part, ids, fvs, forest, sorted(in_fvs.union(leaves))
 
 
 def _plan_general(graph: Graph, labels: LabelMultiset, report: ShapeReport) -> _GeneralPlan:
@@ -411,15 +443,8 @@ def _plan_general(graph: Graph, labels: LabelMultiset, report: ShapeReport) -> _
     if graph.vertex_count > EXACT_PARAM_LIMIT:
         return _GeneralPlan(StrategyTag.ORACLE, None, None, None, None)
     alpha = labels.alpha
-    g1, _, fvs, forest = _non_star_part(graph, report)
-    forest_set = set(forest)
-    leaves = sum(
-        1
-        for v in forest
-        if sum(1 for u in g1.adjacency[v] if u in forest_set) <= 1
-    )
+    boundary = len(_non_star_part(graph, _non_star_vertices(report))[4])
     vc = vertex_cover_number(graph)
-    boundary = len(fvs) + leaves
     est_vc = alpha ** vc
     est_fvs = alpha ** boundary
     if min(est_vc, est_fvs) > ENUMERATION_CAP:
@@ -454,7 +479,7 @@ def _adopt(stats: SolveStats, sub: SolveOutcome) -> SolveOutcome:
 
 
 def _forced_constant(graph: Graph, labels: LabelMultiset,
-                     elimination: Elimination | None = None) -> int | None:
+                     weights: _Weights | None = None) -> int | None:
     """The one constant a fair labeling can have, or None when there is none.
 
     A fair labeling with constant K gives each component C the label sum
@@ -463,9 +488,10 @@ def _forced_constant(graph: Graph, labels: LabelMultiset,
     K s_C an integer that some |C| labels can sum to: between the sums of
     the |C| smallest and the |C| largest.  A component of degree r has
     s_C = |C| / r, which gives the regular graphs' r * sum / n.  The
-    weights are read off the elimination when one is given.
+    components' weights are computed unless given.
     """
-    weights = elimination.weights if elimination else component_weights(graph)
+    if weights is None:
+        weights = component_weights(graph)
     if any(weight is None for _comp, weight in weights):
         return None
     total = sum(weight for _comp, weight in weights)
@@ -486,17 +512,19 @@ def _forced_constant(graph: Graph, labels: LabelMultiset,
     return int(k)
 
 
-def _candidates(graph: Graph, labels: LabelMultiset, k: int | None = None) -> list[int]:
+def _candidates(graph: Graph, labels: LabelMultiset, k: int | None = None,
+                weights: _Weights | None = None) -> list[int]:
     """The forced constant when it is among `fairness_constant_candidates`,
     narrowed to k when one is requested: at most one constant.
 
     Membership is tested on the candidates' bounds, never by listing them,
     and an empty interval skips the elimination behind the forced constant.
+    The components' weights are computed unless given.
     """
     low, high, pendant = constant_bounds(graph, labels)
     if low > high:
         return []
-    forced = _forced_constant(graph, labels)
+    forced = _forced_constant(graph, labels, weights)
     if (
         forced is None
         or not low <= forced <= high
@@ -507,16 +535,15 @@ def _candidates(graph: Graph, labels: LabelMultiset, k: int | None = None) -> li
     return [forced]
 
 
-def _constants(graph: Graph, labels: LabelMultiset, k: int | None) -> list[int]:
-    """What a per-constant strategy decides: k itself, or else the forced
-    constant when it is a candidate."""
+def _require_instance(graph: Graph, labels: LabelMultiset, k: int | None) -> None:
+    """The input checks of a per-constant strategy, which decides k itself,
+    or else the forced constant when it is a candidate."""
     if k is not None:
         require_constant(k)
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
     if graph.vertex_count == 0 or graph.min_degree() == 0:
         raise InputError("solver requires a graph without isolated vertices")
-    return [k] if k is not None else _candidates(graph, labels)
 
 
 def _decide(constants: list[int], stats: SolveStats,

@@ -49,7 +49,7 @@ from .model import (
     timed,
 )
 from .search import ForcingStep, SearchTables, _forced_value, ordered_search
-from .structure import PivotMap, connected_components, eliminate
+from .structure import Elimination, PivotMap, connected_components, eliminate
 
 PartialAssignment = dict[int, int]
 
@@ -372,6 +372,7 @@ def enumerate_boundary_extensions(
     k: int,
     extra_boundary: Iterable[int] = (),
     stats: SolveStats | None = None,
+    elimination: Elimination | None = None,
 ) -> Iterator[PartialAssignment]:
     """Forced extensions of boundary labelings that break no known equation.
 
@@ -389,9 +390,10 @@ def enumerate_boundary_extensions(
     equation read, and an equation is checked exactly once its last neighbor
     is labeled, and against the min/max completion of its pending neighbors
     before that.  When the domain and the forest cover the graph, each
-    domain pivot of A l = K 1 (`structure.eliminate` in the domain's order)
-    takes the one value its map gives.  `stats.nodes` counts each tried
-    (domain vertex, value) pair with a copy left at the free positions.
+    domain pivot of A l = K 1 (`structure.eliminate` in the domain's order,
+    or `elimination` when the caller has made that one) takes the one
+    value its map gives.  `stats.nodes` counts each tried (domain vertex,
+    value) pair with a copy left at the free positions.
     """
     require_constant(k)
     extender = ForestExtender(graph, forest_vertices)
@@ -423,7 +425,7 @@ def enumerate_boundary_extensions(
     maps: list[PivotMap | None] = []
     if len(known) == graph.vertex_count:
         # every equation is checked, so each map holds on all that is yielded
-        pivots = eliminate(graph, domain).pivots
+        pivots = (elimination or eliminate(graph, domain)).pivots
         maps = [pivots.get(v) for v in domain]
     tables = SearchTables(
         tuple(domain),

@@ -118,15 +118,21 @@ def eliminate(graph: Graph, order: Iterable[int] | None = None) -> Elimination:
             pending.append(row)
         reduced: dict[int, list[int]] = {}
         for col in sorted(range(size), key=lambda i: rank[comp[i]], reverse=True):
-            pivot_row = next((row for row in pending if row[col]), None)
-            if pivot_row is None:
+            for pivot_row in pending:
+                if pivot_row[col]:
+                    break
+            else:
                 continue
-            pending = [
-                _cancel(row, pivot_row, col) if row[col] else row
-                for row in pending
-                if row is not pivot_row
-            ]
-            pending = [row for row in pending if any(row)]
+            # the rows left after cancelling col; a row that cancels to 0 goes
+            rest = []
+            for row in pending:
+                if row is not pivot_row:
+                    if row[col]:
+                        row = _cancel(row, pivot_row, col)
+                        if not any(row):
+                            continue
+                    rest.append(row)
+            pending = rest
             for p, row in reduced.items():
                 if row[col]:
                     reduced[p] = _cancel(row, pivot_row, col)
@@ -211,32 +217,52 @@ def twin_classes(graph: Graph, vertices: Iterable[int] | None = None) -> TwinPar
     return TwinPartition(tuple(classes))
 
 
-def _refine_pair(
-    adjacency: list[tuple[int, ...]], left: list, right: list
-) -> tuple[list[int], list[int]] | None:
-    """Colour refinement of two colourings of one graph, in step.
+# one round of colour refinement: the rank of each signature, and the
+# colours the ranks give, sorted
+_Round = tuple[dict[tuple, int], list[int]]
 
-    Each round recolours a vertex by the rank of (its colour, its neighbors'
-    sorted colours).  The ranks depend only on the signatures, so the two
-    sides keep comparable colours; None as soon as their signature multisets
-    differ, when no automorphism maps one colouring onto the other.
+
+def _signatures(adjacency: list[tuple[int, ...]], colours: list) -> list[tuple]:
+    """Per vertex, (its colour, its neighbors' sorted colours)."""
+    return [
+        (colours[v], tuple(sorted([colours[u] for u in nbrs])))
+        for v, nbrs in enumerate(adjacency)
+    ]
+
+
+def _refine(adjacency: list[tuple[int, ...]], colours: list) -> tuple[list[int], list[_Round]]:
+    """Colour refinement: the stable colouring and the rounds that led to it.
+
+    Each round recolours a vertex by the rank of its signature among the
+    sorted distinct signatures, until a round adds no colour.
     """
-    count = len(set(left))
+    count = len(set(colours))
+    rounds = []
     while True:
-        signatures = []
-        for colours in (left, right):
-            signatures.append([
-                (colours[v], tuple(sorted([colours[u] for u in nbrs])))
-                for v, nbrs in enumerate(adjacency)
-            ])
-        ordered = sorted(signatures[0])
-        if ordered != sorted(signatures[1]):
-            return None
-        rank = {signature: i for i, signature in enumerate(dict.fromkeys(ordered))}
-        left, right = ([rank[s] for s in side] for side in signatures)
+        signatures = _signatures(adjacency, colours)
+        rank = {signature: i for i, signature in enumerate(sorted(set(signatures)))}
+        colours = [rank[s] for s in signatures]
+        rounds.append((rank, sorted(colours)))
         if len(rank) == count:
-            return left, right
+            return colours, rounds
         count = len(rank)
+
+
+def _replay(
+    adjacency: list[tuple[int, ...]], colours: list[int], rounds: list[_Round]
+) -> list[int] | None:
+    """Another colouring refined by the recorded rounds of `_refine`, so its
+    colours compare with that refinement's; None as soon as a round's
+    signature multiset differs, when no automorphism maps one colouring
+    onto the other."""
+    for rank, ordered in rounds:
+        try:
+            colours = [rank[s] for s in _signatures(adjacency, colours)]
+        except KeyError:
+            return None
+        if sorted(colours) != ordered:
+            return None
+    return colours
 
 
 class _OutOfBudget(Exception):
@@ -254,8 +280,13 @@ def first_vertex_orbit(graph: Graph, part: TwinPartition, budget: int) -> tuple[
     that of vertex 0's class and which is not yet merged with it,
     individualization-refinement looks for an automorphism taking the one
     onto the other, and the cycles of each automorphism found are merged
-    in a union-find.  Each refinement is one node; past `budget` nodes the
+    in a union-find.  The left side of every search is one path (vertex
+    0's class, then the first vertex of the first non-singleton cell at
+    each depth), so each depth is refined once and the right sides replay
+    its rounds.  Each refinement is one node; past `budget` nodes the
     search stops, and every class already merged is still in the orbit.
+    The oracle asks for the orbit only where it branches on two or more
+    free positions (`solvers._oracle_tables`).
     """
     classes = part.classes
     if len(classes) < 2 or budget <= 0:
@@ -266,7 +297,7 @@ def first_vertex_orbit(graph: Graph, part: TwinPartition, budget: int) -> tuple[
         for i, cls in enumerate(classes)
     ]
     kinds = [(len(cls.vertices), cls.true_twin) for cls in classes]
-    stable = _refine_pair(adjacency, kinds, kinds)[0]
+    stable = _refine(adjacency, kinds)[0]
     nodes = 1
 
     def individualize(colours: list[int], v: int) -> list[int]:
@@ -275,28 +306,41 @@ def first_vertex_orbit(graph: Graph, part: TwinPartition, budget: int) -> tuple[
         marked[v] = len(colours)
         return marked
 
-    def search(left: list[int], right: list[int]) -> list[int] | None:
-        """An automorphism mapping the left colouring onto the right one."""
+    # per depth of the left path: its refined colouring, the rounds, and
+    # the first non-singleton cell (None once the colouring is discrete)
+    path: list[tuple[list[int], list[_Round], int | None]] = []
+
+    def search(depth: int, right: list[int]) -> list[int] | None:
+        """An automorphism mapping the left colouring at `depth` onto the
+        right one."""
         nonlocal nodes
         if nodes >= budget:
             raise _OutOfBudget
         nodes += 1
-        pair = _refine_pair(adjacency, left, right)
-        if pair is None:
+        if depth == len(path):
+            if path:
+                left, _, cell = path[-1]
+                marked = individualize(left, left.index(cell))
+            else:
+                marked = individualize(stable, 0)
+            left, rounds = _refine(adjacency, marked)
+            ordered = rounds[-1][1]
+            cell = next((a for a, b in zip(ordered, ordered[1:]) if a == b), None)
+            path.append((left, rounds, cell))
+        left, rounds, cell = path[depth]
+        right = _replay(adjacency, right, rounds)
+        if right is None:
             return None
-        left, right = pair
-        members: dict[int, list[int]] = {}
-        for v, colour in enumerate(right):
-            members.setdefault(colour, []).append(v)
-        cell = next((colour for colour in sorted(members) if len(members[colour]) > 1), None)
         if cell is None:
-            return [members[colour][0] for colour in left]
-        v = left.index(cell)
-        marked = individualize(left, v)
-        for w in members[cell]:
-            found = search(marked, individualize(right, w))
-            if found is not None:
-                return found
+            place = [0] * len(right)
+            for v, colour in enumerate(right):
+                place[colour] = v
+            return [place[colour] for colour in left]
+        for w, colour in enumerate(right):
+            if colour == cell:
+                found = search(depth + 1, individualize(right, w))
+                if found is not None:
+                    return found
         return None
 
     parent = list(range(len(classes)))
@@ -311,7 +355,7 @@ def first_vertex_orbit(graph: Graph, part: TwinPartition, budget: int) -> tuple[
         for target in range(1, len(classes)):
             if stable[target] != stable[0] or find(target) == find(0):
                 continue
-            sigma = search(individualize(stable, 0), individualize(stable, target))
+            sigma = search(0, individualize(stable, target))
             if sigma is None:
                 continue
             if sorted(sigma) != list(range(len(classes))) or any(

@@ -990,3 +990,192 @@ def reference_parameter_report(graph: Graph, labels: LabelMultiset) -> SolverCho
         fvs_size = None
         vc_size = None
     return SolverChoice(fvs_size, vc_size, alpha, delta, r)
+
+
+# The elimination as it was before its loop dropped cancelled rows in one
+# pass, copied verbatim (only renamed).  `eliminate` must give exactly its
+# pivots and weights, for every labeling order.
+def reference_ordered_eliminate(graph: Graph, order: Iterable[int] | None = None) -> Elimination:
+    """Gauss-Jordan elimination of [A | 1] over the integers, per component.
+
+    Rows stay lists of coprime integers: cancelling a column combines two
+    rows with integer factors and divides out the gcd, so no fraction
+    arises (fraction-free, as in Bareiss's elimination).  The columns of
+    vertices outside the labeling order (default: all vertices by id) go
+    first, then the order's from its last position to its first.  Each
+    pivot is cancelled from every other row, so the reduced form, and with
+    it each `PivotMap`, is unique, and a pivot row is zero on every column
+    taken before its own: a pivot in the order involves only free vertices
+    at earlier positions.  With free labels at 0 and K = 1, pivot p takes
+    c / D, so s_C is the sum of c / D over C's pivots; a row left with only
+    a K coefficient means no solution.  Rows of different components never
+    meet, so each component is eliminated alone.
+    """
+    n = graph.vertex_count
+    # columns go by descending rank: a position's index, n + id outside
+    rank = [n + v for v in range(n)]
+    for i, v in enumerate(range(n) if order is None else order):
+        rank[v] = i
+    weights = []
+    pivots: dict[int, PivotMap] = {}
+    for comp in graph.components:
+        size = len(comp)
+        index = {v: i for i, v in enumerate(comp)}
+        # one row per distinct neighborhood (false twins repeat an equation):
+        # the neighbors' columns, then the coefficient of K
+        pending = []
+        for nbrs in dict.fromkeys(graph.adjacency[v] for v in comp):
+            row = [0] * size + [1]
+            for u in nbrs:
+                row[index[u]] = 1
+            pending.append(row)
+        reduced: dict[int, list[int]] = {}
+        for col in sorted(range(size), key=lambda i: rank[comp[i]], reverse=True):
+            pivot_row = next((row for row in pending if row[col]), None)
+            if pivot_row is None:
+                continue
+            pending = [
+                _cancel(row, pivot_row, col) if row[col] else row
+                for row in pending
+                if row is not pivot_row
+            ]
+            pending = [row for row in pending if any(row)]
+            for p, row in reduced.items():
+                if row[col]:
+                    reduced[p] = _cancel(row, pivot_row, col)
+            reduced[col] = pivot_row
+        for p, row in reduced.items():
+            if row[p] < 0:
+                row = [-x for x in row]
+            terms = tuple((comp[j], x) for j, x in enumerate(row[:size]) if x and j != p)
+            pivots[comp[p]] = (row[p], row[size], terms)
+        # after the last column a pending row holds only its K coefficient
+        weight = None
+        if not pending:
+            maps = [pivots[comp[p]] for p in reduced]
+            common = lcm(*(scale for scale, _c, _terms in maps))
+            weight = Fraction(sum(c * (common // scale) for scale, c, _terms in maps), common)
+        weights.append((comp, weight))
+    return Elimination(tuple(weights), pivots)
+
+
+# Vertex 0's orbit as it was before each left individualization path was
+# refined once, copied verbatim (only renamed).  `first_vertex_orbit` must
+# give exactly its orbit, for every budget.
+def reference_refine_pair(
+    adjacency: list[tuple[int, ...]], left: list, right: list
+) -> tuple[list[int], list[int]] | None:
+    """Colour refinement of two colourings of one graph, in step.
+
+    Each round recolours a vertex by the rank of (its colour, its neighbors'
+    sorted colours).  The ranks depend only on the signatures, so the two
+    sides keep comparable colours; None as soon as their signature multisets
+    differ, when no automorphism maps one colouring onto the other.
+    """
+    count = len(set(left))
+    while True:
+        signatures = []
+        for colours in (left, right):
+            signatures.append([
+                (colours[v], tuple(sorted([colours[u] for u in nbrs])))
+                for v, nbrs in enumerate(adjacency)
+            ])
+        ordered = sorted(signatures[0])
+        if ordered != sorted(signatures[1]):
+            return None
+        rank = {signature: i for i, signature in enumerate(dict.fromkeys(ordered))}
+        left, right = ([rank[s] for s in side] for side in signatures)
+        if len(rank) == count:
+            return left, right
+        count = len(rank)
+
+
+class _ReferenceOutOfBudget(Exception):
+    """The automorphism search used up its node budget."""
+
+
+def reference_first_vertex_orbit(graph: Graph, part: TwinPartition, budget: int) -> tuple[int, ...]:
+    """Vertices shown to lie in vertex 0's orbit under the automorphism group.
+
+    Twin classes are modules that every automorphism permutes, and a
+    colour-preserving automorphism of the twin quotient (one vertex per
+    class, coloured by class size and kind) lifts to one of the graph by
+    mapping classes onto each other in order.  So the orbit is a union of
+    classes, found on the quotient: for each class whose stable colour is
+    that of vertex 0's class and which is not yet merged with it,
+    individualization-refinement looks for an automorphism taking the one
+    onto the other, and the cycles of each automorphism found are merged
+    in a union-find.  Each refinement is one node; past `budget` nodes the
+    search stops, and every class already merged is still in the orbit.
+    """
+    classes = part.classes
+    if len(classes) < 2 or budget <= 0:
+        return classes[0].vertices if classes else ()
+    class_of = {v: i for i, cls in enumerate(classes) for v in cls.vertices}
+    adjacency = [
+        tuple(sorted({class_of[u] for u in graph.adjacency[cls.vertices[0]]} - {i}))
+        for i, cls in enumerate(classes)
+    ]
+    kinds = [(len(cls.vertices), cls.true_twin) for cls in classes]
+    stable = reference_refine_pair(adjacency, kinds, kinds)[0]
+    nodes = 1
+
+    def individualize(colours: list[int], v: int) -> list[int]:
+        # ranks run 0..c-1, so c is a fresh colour on either side
+        marked = list(colours)
+        marked[v] = len(colours)
+        return marked
+
+    def search(left: list[int], right: list[int]) -> list[int] | None:
+        """An automorphism mapping the left colouring onto the right one."""
+        nonlocal nodes
+        if nodes >= budget:
+            raise _ReferenceOutOfBudget
+        nodes += 1
+        pair = reference_refine_pair(adjacency, left, right)
+        if pair is None:
+            return None
+        left, right = pair
+        members: dict[int, list[int]] = {}
+        for v, colour in enumerate(right):
+            members.setdefault(colour, []).append(v)
+        cell = next((colour for colour in sorted(members) if len(members[colour]) > 1), None)
+        if cell is None:
+            return [members[colour][0] for colour in left]
+        v = left.index(cell)
+        marked = individualize(left, v)
+        for w in members[cell]:
+            found = search(marked, individualize(right, w))
+            if found is not None:
+                return found
+        return None
+
+    parent = list(range(len(classes)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    try:
+        for target in range(1, len(classes)):
+            if stable[target] != stable[0] or find(target) == find(0):
+                continue
+            sigma = search(individualize(stable, 0), individualize(stable, target))
+            if sigma is None:
+                continue
+            if sorted(sigma) != list(range(len(classes))) or any(
+                kinds[sigma[i]] != kinds[i]
+                or any(sigma[j] not in adjacency[sigma[i]] for j in adjacency[i])
+                for i in range(len(classes))
+            ):
+                raise FairnetError("internal error: refinement mapped a non-automorphism")
+            for i, j in enumerate(sigma):
+                parent[find(i)] = find(j)
+    except _ReferenceOutOfBudget:
+        pass
+    root = find(0)
+    return tuple(sorted(
+        v for i, cls in enumerate(classes) if find(i) == root for v in cls.vertices
+    ))

@@ -202,6 +202,33 @@ class TestFvsAlphaDelta:
         with pytest.raises(InputError):
             solve_fvs_alpha_delta(empty_graph(2), S(1, 2), 1)
 
+    def test_one_elimination_per_solve(self, monkeypatch):
+        # the boundary's elimination gives the forced constant too
+        calls = []
+        for module, name in ((solvers, "eliminate"), (solvers, "component_weights"),
+                             (special, "eliminate")):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *args, name=name, original=original: calls.append(name) or original(*args),
+            )
+        grid = gen_semimagic(SemiMagicSpec(3, tuple(range(1, 10))))
+        with_stars = disjoint_union(cycle_graph(4), star_graph(2))
+        for graph, labels, fair in [
+            (gen_circulant(10, 4), S(*range(1, 11)), False),
+            (grid.graph, grid.labels, True),
+            (with_stars, S(1, 2, 3, 4, 5, 2, 3), True),
+        ]:
+            calls.clear()
+            assert solve_fvs_alpha_delta(graph, labels).fair == fair
+            assert calls == ["eliminate"]
+
+    def test_a_large_part_without_a_constant_is_unfair_not_refused(self):
+        graph = gen_circulant(33, 4)
+        assert not solve_fvs_alpha_delta(graph, S(*[1] * 32, 2)).fair
+        with pytest.raises(RefusalError, match="non-star part has 33 vertices"):
+            solve_fvs_alpha_delta(graph, S(*[1] * 33))
+
     def test_matches_oracle(self):
         rng = random.Random(53)
         checked = 0
@@ -491,7 +518,7 @@ class TestEnumerators:
     @pytest.mark.parametrize(
         "family, algo, pinned",
         [
-            ("circulant", "oracle", (False, None, 1, 0)),
+            ("circulant", "oracle", (False, None, 10, 0)),
             ("circulant", "vc-alpha", (False, None, 74436, 116)),
             ("circulant", "fvs-alpha-delta", (False, None, 10, 0)),
             ("3part-k33", "oracle", (True, (1, 3, 5, 2, 3, 4), 5, 0)),
@@ -742,16 +769,45 @@ class TestOrbitFloors:
         assert saved > 0
 
     def test_every_oracle_path_searches_fewer_nodes(self, monkeypatch):
-        graph, labels = gen_circulant(10, 4), S(*range(1, 11))
+        # three disjoint K3,3 (3-regular, so auto hands it to the oracle):
+        # the elimination leaves 12 free positions, so the orbit is computed
+        w = (1, 1, 3, 4, 6, 6, 1, 1, 6, 6, 3, 6, 5, 6, 4, 3, 6, 4)
+        made = gen_3partition_k33(ThreePartitionInstance(w, 6))
+        graph, labels = made.graph, made.labels
+        assert graph.vertex_count - len(solvers.eliminate(graph).pivots) == 12
         reached = {
             "auto": solve_auto(graph, labels).stats.nodes,
             "regular-fvs": solve_regular_fvs(graph, labels).stats.nodes,
             "oracle": solve_oracle(graph, labels).stats.nodes,
         }
-        _use_tables(monkeypatch, reference_oracle_tables)
-        before = solve_oracle(graph, labels).stats.nodes
-        assert before == 32576
-        assert reached == dict.fromkeys(reached, 1)
+        monkeypatch.setattr(solvers, "ORBIT_NODE_BUDGET", 0)
+        before = solve_oracle(graph, labels)
+        assert not before.fair and before.stats.nodes == 212
+        assert reached == dict.fromkeys(reached, 58)
+
+    def test_one_free_position_skips_the_orbit(self, monkeypatch):
+        # with at most one free position the search is one loop over the
+        # values; it takes the floorless oracle's nodes, at most alpha
+        rng = random.Random(937)
+        instances = [
+            (graph, labels) for graph, labels in _orbit_instances(rng)
+            if graph.vertex_count - len(solvers.eliminate(graph).pivots) <= 1
+        ]
+        outcomes = [solve_oracle(graph, labels) for graph, labels in instances]
+
+        def refused(*args):
+            raise AssertionError("the orbit was computed")
+
+        monkeypatch.setattr(solvers, "first_vertex_orbit", refused)
+        gated = [solve_oracle(graph, labels) for graph, labels in instances]
+        monkeypatch.setattr(solvers, "ORBIT_NODE_BUDGET", 0)
+        floorless = [solve_oracle(graph, labels) for graph, labels in instances]
+        for (_graph, labels), ours, again, reference in zip(instances, outcomes, gated, floorless):
+            assert ours.certificate == again.certificate == reference.certificate
+            assert ours.stats.nodes == again.stats.nodes == reference.stats.nodes
+            assert ours.stats.nodes <= labels.alpha
+        assert len(instances) >= 250
+        assert sum(out.fair for out in outcomes) >= 50
 
 
 # the six 3x3 permutation matrices, as the column of each row's one
@@ -955,9 +1011,11 @@ class TestBoundaryForcing:
         for graph, labels, k in _boundary_instances(rng):
             ours = solve_fvs_alpha_delta(graph, labels, k)
             with monkeypatch.context() as patch:
+                # the reference eliminates on its own and takes no elimination
                 patch.setattr(
                     solvers, "enumerate_boundary_extensions",
-                    reference_enumerate_boundary_extensions,
+                    lambda *args, elimination, **kwargs:
+                        reference_enumerate_boundary_extensions(*args, **kwargs),
                 )
                 reference = solve_fvs_alpha_delta(graph, labels, k)
             assert ours.verdict == reference.verdict, (graph.adjacency, labels.values, k)
@@ -1119,6 +1177,26 @@ class TestReportNamesWhatRan:
             shapes.add(structure.classify(graph).shape)
         assert shapes == set(Shape)
         assert ran == set(_NAMED.values())
+
+    @pytest.mark.parametrize(
+        "solve, tag",
+        [
+            (solve_oracle, "oracle"),
+            (solve_vc_alpha, "vc-alpha"),
+            (solve_fvs_alpha_delta, "fvs-alpha-delta"),
+            (solve_vc_delta, "oracle"),
+        ],
+        ids=["oracle", "vc-alpha", "fvs-alpha-delta", "vc-delta"],
+    )
+    def test_a_named_strategy_reports_its_own_name(self, solve, tag):
+        # fair, unfair at the search, and unfair for want of a constant
+        made = gen_3partition_k33(ThreePartitionInstance((4, 3, 2, 5, 1, 3), 2))
+        for graph, labels in [
+            (made.graph, made.labels),
+            (gen_circulant(10, 4), S(*range(1, 11))),
+            (cycle_graph(5), S(1, 1, 1, 1, 2)),
+        ]:
+            assert solve(graph, labels).stats.strategy == tag
 
 
 def _chorded_cycle(rng, n):

@@ -50,6 +50,7 @@ from fairnet.structure import (
 )
 from fairnet import solvers, structure
 from fairnet.solvers import ORBIT_NODE_BUDGET, _oracle_tables
+import support
 from support import (
     _is_acyclic,
     brute_first_vertex_orbit,
@@ -60,7 +61,9 @@ from support import (
     random_graph,
     random_labels,
     reference_eliminate,
+    reference_first_vertex_orbit,
     reference_oracle_tables,
+    reference_ordered_eliminate,
     unbounded_minimum_feedback_vertex_set,
     unbounded_minimum_vertex_cover,
 )
@@ -769,14 +772,79 @@ class TestFirstVertexOrbit:
         assert orbits[-1] == set(range(18))
 
     def test_non_automorphism_is_an_error(self, monkeypatch):
-        def blind(adjacency, left, right):
-            # one colour for all at first, then a rotation of the path's
-            # vertices, which breaks its edges
+        def blind(adjacency, colours, rounds):
+            # the right side refines to a rotation of the path's vertices,
+            # which breaks its edges
             count = len(adjacency)
-            if left == right:
-                return [0] * count, [0] * count
-            return list(range(count)), [(v - 1) % count for v in range(count)]
+            return [(v - 1) % count for v in range(count)]
 
-        monkeypatch.setattr(structure, "_refine_pair", blind)
+        monkeypatch.setattr(structure, "_replay", blind)
         with pytest.raises(FairnetError, match="non-automorphism"):
             first_vertex_orbit(path_graph(4), twin_classes(path_graph(4)), 10)
+
+
+def _kernel_graphs(rng: random.Random) -> list[Graph]:
+    """900 graphs: the benchmark's families (4-regular circulants on 8-10
+    vertices, 3part-k33 with m = 2..6, 3x3 semimagic grids) and G(n, p)
+    with n <= 14."""
+    graphs = []
+    for i in range(900):
+        kind = i % 4
+        if kind == 0:
+            graphs.append(gen_circulant(rng.randint(8, 10), 4))
+        elif kind == 1:
+            m = rng.randint(2, 6)
+            while True:
+                w = tuple(rng.randint(1, 5) for _ in range(3 * m))
+                if sum(w) % m == 0:
+                    break
+            graphs.append(gen_3partition_k33(ThreePartitionInstance(w, m)).graph)
+        elif kind == 2:
+            entries = tuple(rng.randint(1, 4) for _ in range(9))
+            graphs.append(gen_semimagic(SemiMagicSpec(3, entries)).graph)
+        else:
+            n = rng.randint(1, 14)
+            graphs.append(random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.75))))
+    return graphs
+
+
+class TestKernelsKeepTheirOutput:
+    """The orbit and the elimination give exactly what the copies of their
+    earlier versions in `support` give."""
+
+    def test_orbit_is_the_reference_orbit_for_every_budget(self, monkeypatch):
+        # a search of N nodes (the stable refinement and one per search
+        # call) checks the budget at 1..N-1 only, so every budget from N on
+        # gives the budget-64 orbit: below that, each budget is compared
+        nodes = []
+        refine_pair, replay = support.reference_refine_pair, structure._replay
+        monkeypatch.setattr(
+            support, "reference_refine_pair",
+            lambda *args: nodes.append("reference") or refine_pair(*args),
+        )
+        monkeypatch.setattr(structure, "_replay", lambda *args: nodes.append("new") or replay(*args))
+        cut = 0
+        for g in _kernel_graphs(random.Random(89)):
+            part = twin_classes(g)
+            nodes.clear()
+            full = reference_first_vertex_orbit(g, part, 64)
+            assert first_vertex_orbit(g, part, 64) == full
+            count = nodes.count("reference")
+            if len(part.classes) >= 2:
+                # the new search refines the stable colouring outside `_replay`
+                assert nodes.count("new") + 1 == count
+            for budget in range(min(count, 64)):
+                assert first_vertex_orbit(g, part, budget) == reference_first_vertex_orbit(
+                    g, part, budget
+                ), (g.adjacency, budget)
+            cut += count > 1 and first_vertex_orbit(g, part, count - 1) != full
+        assert cut >= 100
+
+    def test_elimination_is_the_reference_elimination_in_every_order(self):
+        rng = random.Random(97)
+        for g in _kernel_graphs(random.Random(101)) + list(TestElimination._graphs(rng)):
+            for order in (None, range(g.vertex_count), _shuffled_order(rng, g),
+                          _shuffled_order(rng, g)):
+                ours = eliminate(g, order)
+                expected = reference_ordered_eliminate(g, order)
+                assert (ours.weights, ours.pivots) == (expected.weights, expected.pivots)
