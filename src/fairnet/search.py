@@ -10,11 +10,11 @@ along the way and which ties restrict the values.  A tie makes a label
 equal an earlier one (true twins) or not fall below it, a floor: the order
 inside a false-twin class, and the oracle's lex-leader rule that no vertex
 of vertex 0's automorphism orbit takes a smaller label than vertex 0.  An
-integer affine map fixes a position's label from K and earlier labels: the
-pivot vertices of A l = K 1 in the enumerator's labeling order
-(`structure.eliminate`), in the oracle and in the forest-boundary
-enumeration.  A mapped position tries its one value and is not counted as
-a node, so only the free positions are searched.
+integer linear map fixes a position's label from K and the labels at
+earlier positions, mapped ones included: the pivot vertices of A l = K 1
+in the enumerator's labeling order (`structure.eliminate`), in the oracle
+and in the forest-boundary enumeration.  A mapped position tries its one
+value and is not counted as a node, so only the free positions are searched.
 
 An equation is "the labels fed into it, plus `pending` labels still to
 come, sum to K".  With nothing pending it is checked exactly; otherwise K
@@ -53,11 +53,11 @@ class SearchTables:
     held: per position, how many later labels the ties hold at or above
         its label, directly or through other ties; a value is tried only
         while that many copies at or above it are left besides its own.
-    maps: per position, None or an integer affine map (D, c, ((j, c_j), ...))
-        over vertices labeled at earlier positions: with K given, the
-        position takes the one value (c K - sum of c_j l_j) / D, which must
-        be an integer with a copy left and pass the position's tie and
-        `held` rules, or the branch dies.  Such a position is no node.
+    maps: per position, None or an integer linear map (D, c, ((j, c_j), ...))
+        over earlier positions, free or mapped: with K given, the position
+        takes the one value (c K - sum of c_j l_j) / D, which must be an
+        integer with a copy left and pass the position's tie and `held`
+        rules, or the branch dies.  Such a position is no node.
     root_checks: equations nothing feeds, checked against the given K
         before the first position.
     """

@@ -121,7 +121,7 @@ def _oracle_tables(graph: Graph, elimination: Elimination | None = None) -> Sear
     Every vertex whose neighborhood is fully labeled pins the constant;
     partially labeled neighborhoods prune via min/max completions.  Given
     the elimination, each pivot vertex gets its `PivotMap`: it involves
-    only free vertices with lower ids, so with K known the pivot's label is
+    only vertices with lower ids, so with K known the pivot's label is
     fixed when it is reached, and only free vertices are searched.  Two
     fair labelings first differ at a free vertex, so the first one found is
     still the smallest.  The orbit is computed only when the elimination
@@ -177,12 +177,20 @@ def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> S
         stats.trace.append("isolated vertex next to constrained vertices")
         return SolveOutcome.make_unfair(stats)
     elimination = eliminate(graph)
-    tables = _oracle_tables(graph, elimination)
     if k is None:
         k = _forced_constant(graph, labels, elimination.weights)
         if k is None:
             stats.trace.append("no fairness constant")
             return SolveOutcome.make_unfair(stats)
+    return _oracle_search(graph, labels, k, elimination)
+
+
+def _oracle_search(graph: Graph, labels: LabelMultiset, k: int,
+                   elimination: Elimination) -> SolveOutcome:
+    """The oracle's search at k on the graph's elimination in id order,
+    which `solve_auto` hands over from its forced constant."""
+    stats = SolveStats(strategy=StrategyTag.ORACLE.value)
+    tables = _oracle_tables(graph, elimination)
     for assignment, constant in ordered_search(tables, labels, stats, k):
         return certified_outcome(graph, labels, assignment, constant, stats)
     return SolveOutcome.make_unfair(stats)
@@ -259,7 +267,7 @@ def solve_fvs_alpha_delta(
             (comp, Fraction(2) if kind == "star" else next(found)[1])
             for comp, kind in zip(report.components, report.component_kinds)
         ]
-    constants = [k] if k is not None else _candidates(graph, labels, weights=weights)
+    constants = [k] if k is not None else _candidates(graph, labels, weights=weights)[0]
     if not constants or _pendant_screen(graph, stats, report):
         return SolveOutcome.make_unfair(stats)
     if not rest:
@@ -269,8 +277,8 @@ def solve_fvs_alpha_delta(
             f"non-star part has {len(rest)} vertices; exact feedback"
             f" vertex sets are limited to {EXACT_PARAM_LIMIT}"
         )
-    in_g1 = set(ids1)
-    g2, ids2 = graph.induced(v for v in range(graph.vertex_count) if v not in in_g1)
+    star_part = set(range(graph.vertex_count)).difference(ids1)
+    g2, ids2 = graph.induced(star_part) if star_part else (None, ())
     stats.trace.append(f"fvs size {len(fvs)} on the non-star part")
 
     def decide(k: int) -> SolveOutcome:
@@ -280,7 +288,7 @@ def solve_fvs_alpha_delta(
         )
         for merged in extensions:
             star_labels: tuple[int, ...] = ()
-            if g2.vertex_count:
+            if g2 is not None:
                 residual = labels.minus(LabelMultiset.from_iterable(merged.values()))
                 stars = _adopt(sub, solve_disjoint_stars(g2, residual, k))
                 if not stars.fair:
@@ -339,7 +347,7 @@ def solve_vc_alpha(
     one, is decided.
     """
     _require_instance(graph, labels, k)
-    constants = [k] if k is not None else _candidates(graph, labels)
+    constants = [k] if k is not None else _candidates(graph, labels)[0]
     stats = SolveStats(strategy=StrategyTag.VC_ALPHA.value)
     if not constants:
         return SolveOutcome.make_unfair(stats)
@@ -426,11 +434,13 @@ def _non_star_vertices(report: ShapeReport) -> list[int]:
 def _non_star_part(
     graph: Graph, rest: list[int]
 ) -> tuple[Graph, tuple[int, ...], tuple[int, ...], list[int], list[int]]:
-    """The subgraph induced on the non-star vertices `rest`, the ids of its
-    vertices in `graph`, and in the subgraph's ids its minimum feedback
-    vertex set, the forest that set leaves, and the boundary fvs-alpha-delta
-    labels: the set plus the forest's leaves, sorted."""
-    part, ids = graph.induced(rest)
+    """The subgraph induced on the non-star vertices `rest` (the graph itself
+    when that is all), the ids of its vertices in `graph`, and in the
+    subgraph's ids its minimum feedback vertex set, the forest that set
+    leaves, and the boundary fvs-alpha-delta labels: the set plus the
+    forest's leaves, sorted."""
+    whole = len(rest) == graph.vertex_count
+    part, ids = (graph, tuple(range(len(rest)))) if whole else graph.induced(rest)
     fvs = minimum_feedback_vertex_set(part)
     in_fvs = set(fvs)
     forest = [v for v in range(part.vertex_count) if v not in in_fvs]
@@ -513,9 +523,10 @@ def _forced_constant(graph: Graph, labels: LabelMultiset,
 
 
 def _candidates(graph: Graph, labels: LabelMultiset, k: int | None = None,
-                weights: _Weights | None = None) -> list[int]:
+                weights: _Weights | None = None) -> tuple[list[int], Elimination | None]:
     """The forced constant when it is among `fairness_constant_candidates`,
-    narrowed to k when one is requested: at most one constant.
+    narrowed to k when one is requested: at most one constant; and the
+    graph's elimination in id order when this call made one.
 
     Membership is tested on the candidates' bounds, never by listing them,
     and an empty interval skips the elimination behind the forced constant.
@@ -523,16 +534,17 @@ def _candidates(graph: Graph, labels: LabelMultiset, k: int | None = None,
     """
     low, high, pendant = constant_bounds(graph, labels)
     if low > high:
-        return []
-    forced = _forced_constant(graph, labels, weights)
+        return [], None
+    elimination = None if weights else eliminate(graph)
+    forced = _forced_constant(graph, labels, weights or elimination.weights)
     if (
         forced is None
         or not low <= forced <= high
         or (pendant and forced not in labels.counts)
         or k not in (None, forced)
     ):
-        return []
-    return [forced]
+        return [], elimination
+    return [forced], elimination
 
 
 def _require_instance(graph: Graph, labels: LabelMultiset, k: int | None) -> None:
@@ -587,12 +599,12 @@ def solve_auto(
         return SolveOutcome.make_unfair(stats)
 
     if report.shape is Shape.DISJOINT_STARS:
-        candidates = _candidates(graph, labels, k)
+        candidates = _candidates(graph, labels, k)[0]
         stats.trace.append(f"disjoint stars; candidates {candidates}")
         return _decide(candidates, stats, lambda k: solve_disjoint_stars(graph, labels, k))
 
     if report.shape is Shape.DISJOINT_CYCLES:
-        candidates = _candidates(graph, labels, k)
+        candidates = _candidates(graph, labels, k)[0]
         stats.trace.append(f"disjoint cycles; candidates {candidates}")
         return _decide(
             candidates, stats, lambda k: _solve_cycles(graph, labels, k, SolveStats())
@@ -609,7 +621,7 @@ def solve_auto(
         stats.strategy = StrategyTag.ORACLE.value
         return _adopt(stats, solve_oracle(graph, labels, k))
 
-    candidates = _candidates(graph, labels, k)
+    candidates, elimination = _candidates(graph, labels, k)
     stats.trace.append(f"candidates {candidates}")
     if not candidates:
         return SolveOutcome.make_unfair(stats)
@@ -625,9 +637,7 @@ def solve_auto(
         )
     )
     stats.strategy = plan.tag.value
-    runner = {
-        StrategyTag.ORACLE: solve_oracle,
-        StrategyTag.VC_ALPHA: solve_vc_alpha,
-        StrategyTag.FVS_ALPHA_DELTA: solve_fvs_alpha_delta,
-    }[plan.tag]
+    if plan.tag is StrategyTag.ORACLE:
+        return _adopt(stats, _oracle_search(graph, labels, candidates[0], elimination))
+    runner = solve_vc_alpha if plan.tag is StrategyTag.VC_ALPHA else solve_fvs_alpha_delta
     return _adopt(stats, runner(graph, labels, candidates[0]))

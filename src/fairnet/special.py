@@ -25,8 +25,8 @@ condition with constant K:
 * When the boundary and the forest cover the graph, every equation is
   checked, so every yielded labeling solves A l = K 1.  Eliminated with the
   forest's columns first and the boundary's from its last position to its
-  first, each boundary pivot's label is an integer affine map of K and the
-  free boundary labels before it; the search gives it that one value, so
+  first, each boundary pivot's label is an integer linear map of K and the
+  boundary labels before it; the search gives it that one value, so
   the stream is unchanged and only the free boundary vertices are searched.
 """
 

@@ -1,12 +1,11 @@
 """Structural analysis: components, the elimination of A l = K 1, twin
 classes, vertex 0's automorphism orbit, shape tags, exact FVS and VC.
 
-One integer elimination (`eliminate`) gives each component's weight s_C,
-from which the forced constant follows, and each pivot vertex's label as
-an affine map of K and free labels.  It takes the order a search labels
-vertices in, so that each pivot's map reads only labels placed before it:
-the oracle's order (vertex ids) and the forest-boundary enumeration's
-(the forest first, then the boundary) both search the free vertices only.
+One forward integer elimination (`eliminate`) gives each component's
+weight s_C, from which the forced constant follows, and each pivot's label
+as a linear map of K and the labels placed before it in the order a search
+labels vertices in: the oracle's (vertex ids) and the forest-boundary
+enumeration's (the forest, then the boundary) search free vertices only.
 
 The feedback-vertex-set and vertex-cover routines are exact branch-and-bound
 searches meant for the small instances this package targets, run on each
@@ -18,15 +17,16 @@ where a strategy needs the set.
 
 A component is a list of int neighbor masks and a branch is one int mask of
 live vertices, so a degree is one popcount and a branch copies nothing.
-Each branch is cut by a lower bound: for FVS the fewest vertex degrees whose
-(degree - 1) values cover the cyclomatic number m - n + c, for VC the size of
-a greedy maximal matching.  FVS branches only on the degree->=3 vertices of
-one cycle of the 2-core, one of which some smallest solution takes, and its
-size loop stops at the size of a greedy FVS (highest degree first), whose
-set is then the witness.  Each decision returns the solution it found, and
-the greedy reconstruction takes a vertex of that witness without searching
-again.  Bounds, branching rule and witnesses only skip work whose answer is
-known, so the sizes and the tuples are those of the unbounded search.
+A size is one branch-and-bound per component below an incumbent (a greedy
+FVS, highest degree first, or every live vertex for VC), each branch cut
+when its lower bound reaches the best size found: for FVS the fewest vertex
+degrees whose (degree - 1) values cover the cyclomatic number m - n + c,
+for VC the size of a greedy maximal matching.  FVS branches only on the
+degree->=3 vertices of one cycle of the 2-core, one of which some smallest
+solution takes.  The greedy reconstruction takes a vertex of the last
+witness at once, or asks the search for a solution one smaller without it,
+stopping at the first.  Bounds, branching rule and witnesses only skip work
+whose answer is known, so sizes and tuples are the unbounded search's.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 from typing import Iterable
 
 from .model import FairnetError, Graph, InputError
@@ -47,8 +48,8 @@ def connected_components(graph: Graph) -> list[tuple[int, ...]]:
 
 
 # a pivot vertex p's equation after elimination: D l_p = c K - sum of c_j l_j
-# over free vertices j labeled before p, stored as (D, c, ((j, c_j), ...))
-# with D > 0
+# over vertices j labeled before p, pivots among them, stored as
+# (D, c, ((j, c_j), ...)) with D > 0
 PivotMap = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
@@ -67,14 +68,14 @@ def _cancel(row: list[int], pivot_row: list[int], col: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Elimination:
-    """A l = K 1 in reduced form for one labeling order.
+    """A l = K 1 in echelon form for one labeling order.
 
     weights: each connected component C with s_C = 1^T x for A_C x = 1, or
         None when A_C x = 1 has no solution (`component_weights`).
     pivots: per pivot vertex p, its row as a `PivotMap`.  The row is an
         integer combination of neighborhood equations, so every fair
         labeling with constant K satisfies it.  A pivot in the order
-        involves only free vertices at earlier positions: labeled in that
+        involves only vertices at earlier positions: labeled in that
         order, its label is fixed by K and the labels before it.
     """
 
@@ -83,20 +84,21 @@ class Elimination:
 
 
 def eliminate(graph: Graph, order: Iterable[int] | None = None) -> Elimination:
-    """Gauss-Jordan elimination of [A | 1] over the integers, per component.
+    """Forward elimination of [A | 1] over the integers, per component.
 
     Rows stay lists of coprime integers: cancelling a column combines two
     rows with integer factors and divides out the gcd, so no fraction
     arises (fraction-free, as in Bareiss's elimination).  The columns of
     vertices outside the labeling order (default: all vertices by id) go
-    first, then the order's from its last position to its first.  Each
-    pivot is cancelled from every other row, so the reduced form, and with
-    it each `PivotMap`, is unique, and a pivot row is zero on every column
-    taken before its own: a pivot in the order involves only free vertices
-    at earlier positions.  With free labels at 0 and K = 1, pivot p takes
-    c / D, so s_C is the sum of c / D over C's pivots; a row left with only
-    a K coefficient means no solution.  Rows of different components never
-    meet, so each component is eliminated alone.
+    first, then the order's from its last position to its first.  A pivot
+    is cancelled from the pending rows only, so a pivot in the order
+    involves only vertices at earlier positions, pivots among them.  The
+    pivot rows up to a position span every equation supported there, so
+    on a prefix obeying the earlier maps each map forces what the fully
+    reduced form would.  s_C is back-substituted, last pivot first, free
+    labels at 0 and K = 1, in integers over one common denominator;
+    a row left with only a K coefficient means no solution.  Rows of
+    different components never meet: each is eliminated alone.
     """
     n = graph.vertex_count
     # columns go by descending rank: a position's index, n + id outside
@@ -116,7 +118,7 @@ def eliminate(graph: Graph, order: Iterable[int] | None = None) -> Elimination:
             for u in nbrs:
                 row[index[u]] = 1
             pending.append(row)
-        reduced: dict[int, list[int]] = {}
+        taken = []
         for col in sorted(range(size), key=lambda i: rank[comp[i]], reverse=True):
             for pivot_row in pending:
                 if pivot_row[col]:
@@ -133,21 +135,26 @@ def eliminate(graph: Graph, order: Iterable[int] | None = None) -> Elimination:
                             continue
                     rest.append(row)
             pending = rest
-            for p, row in reduced.items():
-                if row[col]:
-                    reduced[p] = _cancel(row, pivot_row, col)
-            reduced[col] = pivot_row
-        for p, row in reduced.items():
-            if row[p] < 0:
-                row = [-x for x in row]
-            terms = tuple((comp[j], x) for j, x in enumerate(row[:size]) if x and j != p)
-            pivots[comp[p]] = (row[p], row[size], terms)
+            if pivot_row[col] < 0:
+                pivot_row = [-x for x in pivot_row]
+            taken.append((col, pivot_row))
+            terms = tuple((comp[j], x) for j, x in enumerate(pivot_row[:size]) if x and j != col)
+            pivots[comp[col]] = (pivot_row[col], pivot_row[size], terms)
         # after the last column a pending row holds only its K coefficient
         weight = None
         if not pending:
-            maps = [pivots[comp[p]] for p in reduced]
-            common = lcm(*(scale for scale, _c, _terms in maps))
-            weight = Fraction(sum(c * (common // scale) for scale, c, _terms in maps), common)
+            # vertex j takes value[j] / scale; value[p] is still 0 in p's sum
+            value = [0] * size
+            scale = 1
+            for p, row in reversed(taken):
+                top = row[size] * scale - sum(map(mul, row, value))
+                common = gcd(top, row[p])
+                factor = row[p] // common
+                if factor > 1:
+                    value = [x * factor for x in value]
+                    scale *= factor
+                value[p] = top // common
+            weight = Fraction(sum(value), scale)
         weights.append((comp, weight))
     return Elimination(tuple(weights), pivots)
 
@@ -546,18 +553,23 @@ def _branch_vertices(adj: list[int], alive: int) -> list[int]:
     return [v for v in cycle if (adj[v] & alive).bit_count() >= 3] or cycle[:1]
 
 
-def _has_fvs(adj: list[int], alive: int, budget: int) -> int | None:
-    """A feedback vertex set of the live graph, a 2-core, with at most
-    `budget` vertices, as a mask, or None when there is none."""
+def _min_fvs(adj: list[int], alive: int, best: int, floor: int = 0) -> tuple[int, int | None]:
+    """A smallest feedback vertex set of the live graph, a 2-core, with
+    fewer than `best` vertices: its size and mask, or `best` and None when
+    there is none.  Stops at the first found within `floor` or the bound."""
+    bound = _cycle_rank_bound(adj, alive)
+    if bound >= best:
+        return best, None
     if not alive:
-        return 0
-    if budget < _cycle_rank_bound(adj, alive):
-        return None
+        return 0, 0
+    found = None
     for v in _branch_vertices(adj, alive):
-        found = _has_fvs(adj, _two_core(adj, alive & ~(1 << v), adj[v]), budget - 1)
-        if found is not None:
-            return found | 1 << v
-    return None
+        size, sub = _min_fvs(adj, _two_core(adj, alive & ~(1 << v), adj[v]), best - 1, floor - 1)
+        if sub is not None:
+            best, found = size + 1, sub | 1 << v
+            if best <= max(floor, bound):
+                break
+    return best, found
 
 
 def _greedy_fvs(adj: list[int], alive: int) -> int:
@@ -565,7 +577,14 @@ def _greedy_fvs(adj: list[int], alive: int) -> int:
     vertex of highest live degree, taken until re-coring leaves nothing."""
     taken = 0
     while alive:
-        v = max(_bits(alive), key=lambda w: (adj[w] & alive).bit_count())
+        top = v = -1
+        rest = alive
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest ^= 1 << w
+            degree = (adj[w] & alive).bit_count()
+            if degree > top:
+                top, v = degree, w
         taken |= 1 << v
         alive = _two_core(adj, alive ^ 1 << v, adj[v])
     return taken
@@ -586,10 +605,9 @@ def _matching_bound(adj: list[int], alive: int) -> int:
     return edges
 
 
-def _has_vc(adj: list[int], alive: int, budget: int) -> int | None:
-    """A vertex cover of the live graph with at most `budget` vertices, as a
-    mask, or None when there is none."""
-    taken = 0
+def _min_vc(adj: list[int], alive: int, best: int, floor: int = 0) -> tuple[int, int | None]:
+    """`_min_fvs` for a smallest vertex cover of the live graph."""
+    taken = count = 0
     pending = True
     while pending:
         pending = False
@@ -606,25 +624,30 @@ def _has_vc(adj: list[int], alive: int, budget: int) -> int | None:
                 pending = True
                 alive ^= 1 << w | nbrs
                 if nbrs:
-                    if budget == 0:
-                        return None
+                    count += 1
+                    if count >= best:
+                        return best, None
                     taken |= nbrs
-                    budget -= 1
             elif degree > top:
                 # after a pass with no change, the first vertex of highest degree
                 top, v = degree, w
+    bound = count + _matching_bound(adj, alive)
+    if bound >= best:
+        return best, None
     if not alive:
-        return taken
-    if budget < _matching_bound(adj, alive):
-        return None
-    found = _has_vc(adj, alive & ~(1 << v), budget - 1)
-    if found is not None:
-        return taken | 1 << v | found
-    nbrs = adj[v] & alive
-    if nbrs.bit_count() > budget:
-        return None
-    found = _has_vc(adj, alive & ~(1 << v | nbrs), budget - nbrs.bit_count())
-    return None if found is None else taken | nbrs | found
+        return count, taken
+    found = None
+    # take v, or else all its neighbors
+    for take in (1 << v, adj[v] & alive):
+        size = count + take.bit_count()
+        if size >= best:
+            break
+        more, sub = _min_vc(adj, alive & ~(1 << v | take), best - size, floor - size)
+        if sub is not None:
+            best, found = size + more, taken | take | sub
+            if best <= max(floor, bound):
+                break
+    return best, found
 
 
 def _non_isolated(adj: list[int], alive: int, seeds: int) -> int:
@@ -633,31 +656,25 @@ def _non_isolated(adj: list[int], alive: int, seeds: int) -> int:
     return alive & ~sum(1 << v for v in _bits(seeds & alive) if not adj[v] & alive)
 
 
-# per problem: the search for a solution within a budget, a lower bound, the
-# reduction to the vertices a minimum solution can take, and a solution
-_FVS = (_has_fvs, _cycle_rank_bound, _two_core, _greedy_fvs)
+# per problem: the branch-and-bound below an incumbent, the reduction to the
+# vertices a minimum solution can take, and the incumbent
+_FVS = (_min_fvs, _two_core, _greedy_fvs)
 # every live vertex: a cover that is never minimum, unless none is live
-_VC = (_has_vc, _matching_bound, _non_isolated, lambda adj, alive: alive)
+_VC = (_min_vc, _non_isolated, lambda adj, alive: alive)
 
 
-def _minimum(graph: Graph, comp: tuple[int, ...], has, bound, reduce, solution):
+def _minimum(graph: Graph, comp: tuple[int, ...], search, reduce, solution):
     """A component's neighbor masks over its vertices in id order, its live
     vertices after `reduce`, its minimum solution size and a minimum
-    solution (a mask).  The size loop starts at the lower `bound` and stops
-    at the first size `has` finds a witness for, or at the size of the set
-    `solution` gives, which is then the witness."""
-    index = {v: i for i, v in enumerate(comp)}
-    adj = [sum(1 << index[u] for u in graph.adjacency[v]) for v in comp]
+    solution (a mask): one `search` below the set `solution` gives, which
+    is the witness when nothing smaller exists."""
+    bit = {v: 1 << i for i, v in enumerate(comp)}
+    adj = [sum([bit[u] for u in graph.adjacency[v]]) for v in comp]
     full = (1 << len(comp)) - 1
     alive = reduce(adj, full, full)
     witness = solution(adj, alive)
-    size = bound(adj, alive)
-    while size < witness.bit_count():
-        found = has(adj, alive, size)
-        if found is not None:
-            return adj, alive, size, found
-        size += 1
-    return adj, alive, size, witness
+    size, found = search(adj, alive, witness.bit_count())
+    return adj, alive, size, witness if found is None else found
 
 
 def _lex_smallest(graph: Graph, problem: tuple) -> tuple[int, ...]:
@@ -666,12 +683,14 @@ def _lex_smallest(graph: Graph, problem: tuple) -> tuple[int, ...]:
     Each component's `_minimum` gives its size and a witness W.  Then each
     vertex v in id order is taken when some minimum solution of the graph
     left takes it: at once when v is in W, since W - v solves the graph
-    without v with one vertex less, else when `has` finds a new W.  The
-    union of the components' smallest minima is the smallest of the whole
-    graph: two sets of equal size compare at the smallest element of their
-    symmetric difference, which the other components' parts leave unchanged.
+    without v with one vertex less, else when the search finds a new W
+    below the size left, stopping at the first (no smaller one exists).
+    The union of the components' smallest minima is the smallest of the
+    whole graph: two sets of equal size compare at the smallest element of
+    their symmetric difference, which the other components' parts leave
+    unchanged.
     """
-    has, _bound, reduce, _solution = problem
+    search, reduce, _solution = problem
     chosen: list[int] = []
     for comp in graph.components:
         adj, alive, size, witness = _minimum(graph, comp, *problem)
@@ -681,7 +700,7 @@ def _lex_smallest(graph: Graph, problem: tuple) -> tuple[int, ...]:
             bit = 1 << i
             if alive & bit:
                 trial = reduce(adj, alive ^ bit, adj[i])
-                found = witness ^ bit if witness & bit else has(adj, trial, size - 1)
+                found = witness ^ bit if witness & bit else search(adj, trial, size, size - 1)[1]
                 if found is not None:
                     chosen.append(v)
                     witness = found

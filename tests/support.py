@@ -844,7 +844,7 @@ def reference_solve_regular_fvs(
 
 # The elimination as it was before it took a labeling order, copied
 # verbatim (only renamed).  With the default order, `eliminate` must give
-# exactly its pivots and weights.
+# its weights and pivot set, and its maps must force the same values.
 def reference_eliminate(graph: Graph) -> Elimination:
     """Gauss-Jordan elimination of [A | 1] over the integers, per component.
 
@@ -993,8 +993,10 @@ def reference_parameter_report(graph: Graph, labels: LabelMultiset) -> SolverCho
 
 
 # The elimination as it was before its loop dropped cancelled rows in one
-# pass, copied verbatim (only renamed).  `eliminate` must give exactly its
-# pivots and weights, for every labeling order.
+# pass, copied verbatim (only renamed): the fully reduced form.  For every
+# labeling order, `eliminate` must give its weights and pivot set, and its
+# maps must force the same values on every prefix that obeys the earlier
+# maps.
 def reference_ordered_eliminate(graph: Graph, order: Iterable[int] | None = None) -> Elimination:
     """Gauss-Jordan elimination of [A | 1] over the integers, per component.
 

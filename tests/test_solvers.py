@@ -50,6 +50,7 @@ from support import (
     random_labels,
     reference_enumerate_boundary_extensions,
     reference_oracle_tables,
+    reference_ordered_eliminate,
     reference_parameter_report,
     reference_solve_regular_fvs,
 )
@@ -192,6 +193,30 @@ class TestFvsAlphaDelta:
         out = solve_fvs_alpha_delta(g, labels, 5)
         assert out.fair
         assert verify(g, labels, out.certificate.labels) == 5
+
+    def test_no_graph_copy_without_star_components(self, monkeypatch):
+        # the non-star part is the graph itself, and there is no star part
+        copies = []
+        induced = Graph.induced
+        monkeypatch.setattr(
+            Graph, "induced", lambda graph, vertices: copies.append(graph) or induced(graph, vertices)
+        )
+        grid = gen_semimagic(SemiMagicSpec(3, tuple(range(1, 10))))
+        with_stars = disjoint_union(cycle_graph(4), star_graph(2))
+        for graph, labels, fair, made in [
+            (gen_circulant(10, 4), S(*range(1, 11)), False, 0),
+            (gen_circulant(8, 4), S(*[1] * 4, *[2] * 4), True, 0),
+            (grid.graph, grid.labels, True, 0),
+            (with_stars, S(1, 2, 3, 4, 5, 2, 3), True, 2),
+        ]:
+            copies.clear()
+            out = solve_fvs_alpha_delta(graph, labels)
+            assert out.fair == fair and len(copies) == made
+            if fair:
+                assert out.certificate.check(graph, labels)
+        copies.clear()
+        assert solve_auto(grid.graph, grid.labels).fair
+        assert copies == []
 
     def test_pure_stars(self):
         g = disjoint_union(star_graph(3), star_graph(3))
@@ -559,7 +584,7 @@ class TestEnumerators:
             whole = solver(graph, labels)
             nodes = ilp_calls = 0
             first = None
-            for k in _candidates(graph, labels):
+            for k in _candidates(graph, labels)[0]:
                 out = solver(graph, labels, k)
                 nodes += out.stats.nodes
                 ilp_calls += out.stats.ilp_calls
@@ -612,6 +637,24 @@ def _family_instances(rng):
     return instances
 
 
+COMPLETE_4 = Graph.from_edges(4, list(itertools.combinations(range(4), 2)))
+
+
+def _spy_eliminations(monkeypatch) -> list:
+    """The (graph, order) of each `eliminate` call the solvers make, directly
+    or through `structure.component_weights`."""
+    calls = []
+    original = structure.eliminate
+
+    def counted(graph, order=None):
+        calls.append((graph, order))
+        return original(graph, order)
+
+    monkeypatch.setattr(solvers, "eliminate", counted)
+    monkeypatch.setattr(structure, "eliminate", counted)
+    return calls
+
+
 class TestForcedConstant:
     """The forced constant is the only one a fair labeling can have."""
 
@@ -661,20 +704,30 @@ class TestForcedConstant:
             checked += 1
 
     def test_elimination_runs_once_per_solve(self, monkeypatch):
-        calls = []
-        weights = solvers.component_weights
-
-        def counted(graph):
-            calls.append(graph)
-            return weights(graph)
-
-        monkeypatch.setattr(solvers, "component_weights", counted)
+        # the forced constant's elimination in id order runs once; an
+        # fvs-alpha-delta plan makes its own in the boundary's order
+        calls = _spy_eliminations(monkeypatch)
         grid = gen_semimagic(SemiMagicSpec(3, (1, 2, 8, 5, 7, 9, 2, 5, 6)))
         bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
         for graph, labels in [(grid.graph, grid.labels), (bowtie, S(1, 1, 1, 1, 3))]:
             calls.clear()
             solve_auto(graph, labels)
-            assert len(calls) == 1
+            assert [order for _graph, order in calls].count(None) == 1
+
+    def test_auto_hands_its_elimination_to_the_oracle(self, monkeypatch):
+        # 36 vertices: past the exact-parameter limit, so auto plans the
+        # oracle, which searches on the forced constant's elimination
+        calls = _spy_eliminations(monkeypatch)
+        graph = disjoint_union(*[COMPLETE_4] * 5, *[cycle_graph(4)] * 4)
+        labels = S(*[2] * 20, *[3] * 16)
+        out = solve_auto(graph, labels)
+        assert out.fair and out.certificate.constant == 6
+        assert (out.stats.strategy, out.stats.nodes) == ("oracle", 8)
+        assert calls == [(graph, None)]
+        calls.clear()
+        alone = solve_oracle(graph, labels)
+        assert calls == [(graph, None)]
+        assert (alone.certificate, alone.stats.nodes) == (out.certificate, out.stats.nodes)
 
     def test_no_constant_without_a_positive_weight(self):
         for graph in (ZERO_WEIGHT, NEGATIVE_WEIGHT):
@@ -701,20 +754,20 @@ class TestForcedConstant:
         graph = path_graph(4)
         assert _forced_constant(graph, S(1, 2, 3, 4)) == 5
         assert fairness_constant_candidates(graph, S(1, 2, 3, 4)) == [3, 4]
-        assert _candidates(graph, S(1, 2, 3, 4)) == []
-        assert _candidates(graph, S(1, 1, 1, 3)) == [3]
-        assert _candidates(graph, S(1, 1, 1, 3), 3) == [3]
-        assert _candidates(graph, S(1, 1, 1, 3), 2) == []
+        assert _candidates(graph, S(1, 2, 3, 4))[0] == []
+        assert _candidates(graph, S(1, 1, 1, 3))[0] == [3]
+        assert _candidates(graph, S(1, 1, 1, 3), 3)[0] == [3]
+        assert _candidates(graph, S(1, 1, 1, 3), 2)[0] == []
         # forced 5 lies in the degree interval [2, 7] but is no label value
         assert _forced_constant(graph, S(1, 1, 1, 7)) == 5
-        assert _candidates(graph, S(1, 1, 1, 7)) == []
+        assert _candidates(graph, S(1, 1, 1, 7))[0] == []
         # no pendant vertex: forced 11 lies below the degree interval [12, 15]
         graph = Graph.from_edges(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4),
                                      (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)])
         labels = S(1, 1, 5, 5, 5, 5)
         assert _forced_constant(graph, labels) == 11
         assert fairness_constant_candidates(graph, labels) == [12, 13, 14, 15]
-        assert _candidates(graph, labels) == []
+        assert _candidates(graph, labels)[0] == []
 
 
 def _use_tables(patch, build):
@@ -1263,3 +1316,67 @@ class TestReportSizes:
             assert choice == reference_parameter_report(graph, labels)
             unsized += choice.fvs is None
         assert unsized >= 30
+
+
+def _elimination_instances(rng):
+    """Seeded instances whose searches run on pivot maps: 4-regular
+    circulants with n 6-10 and repeated labels, 3part-k33 with m 2-6, 3x3
+    semimagic grids (planted fair or random) and G(n, p) with n <= 12 and
+    no isolated vertex, some planted fair."""
+    instances = []
+    for n in range(6, 11):
+        for _ in range(8):
+            instances.append((gen_circulant(n, 4), S(*[rng.randint(1, 3) for _ in range(n)])))
+        instances.append((gen_circulant(n, 4), S(*[1, 2] * (n // 2), *[1] * (n % 2))))
+    for m in range(2, 7):
+        for _ in range(3):
+            while True:
+                w = tuple(rng.randint(1, 5) for _ in range(3 * m))
+                if sum(w) % m == 0:
+                    break
+            made = gen_3partition_k33(ThreePartitionInstance(w, m))
+            instances.append((made.graph, made.labels))
+    for _ in range(10):
+        made = _planted_semimagic(rng)
+        instances.append((made.graph, made.labels))
+        made = gen_semimagic(SemiMagicSpec(3, tuple(rng.randint(1, 4) for _ in range(9))))
+        instances.append((made.graph, made.labels))
+    while len(instances) < 260:
+        if rng.random() < 0.4:
+            graph, labels, _, _ = constructed_fair(rng, max_n=12)
+        else:
+            graph = random_graph(rng, rng.randint(3, 12), rng.choice((0.3, 0.5, 0.7)))
+            labels = random_labels(rng, graph.vertex_count, rng.randint(1, 4))
+        if graph.vertex_count and graph.min_degree() >= 1:
+            instances.append((graph, labels))
+    return instances
+
+
+class TestForwardElimination:
+    """The forward elimination's maps force what the fully reduced form's
+    force, so every search that reads them is unchanged."""
+
+    def test_searches_match_the_reduced_form_exactly(self, monkeypatch):
+        rng = random.Random(1901)
+        fair_count = mapped = 0
+        for graph, labels in _elimination_instances(rng):
+            # fvs-alpha-delta takes seconds on 3part-k33 with m = 6 (18 vertices)
+            solvers_run = (solve_oracle, solve_auto) + (
+                (solve_fvs_alpha_delta,) if graph.vertex_count < 18 else ()
+            )
+            ours = [solver(graph, labels) for solver in solvers_run]
+            constants = oracle_constants(graph, labels)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "eliminate", reference_ordered_eliminate)
+                patch.setattr(special, "eliminate", reference_ordered_eliminate)
+                reference = [solver(graph, labels) for solver in solvers_run]
+                assert oracle_constants(graph, labels) == constants
+            for mine, theirs in zip(ours, reference):
+                assert mine.verdict == theirs.verdict, (graph.adjacency, labels.values)
+                assert mine.certificate == theirs.certificate
+                assert mine.stats.nodes == theirs.stats.nodes
+                assert mine.stats.trace == theirs.stats.trace
+            fair_count += ours[0].fair
+            mapped += ours[0].stats.nodes < graph.vertex_count
+        assert fair_count >= 60
+        assert mapped >= 100

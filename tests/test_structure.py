@@ -38,9 +38,9 @@ from fairnet.structure import (
     _branch_vertices,
     _cycle_rank_bound,
     _greedy_fvs,
-    _has_fvs,
-    _has_vc,
     _matching_bound,
+    _min_fvs,
+    _min_vc,
     _two_core,
     component_weights,
     eliminate,
@@ -355,21 +355,27 @@ class TestBitsetKernels:
             assert minimum_vertex_cover(g) == unbounded_minimum_vertex_cover(g)
 
     def test_witnesses_are_solutions_within_their_budget(self):
+        # above the minimum, the search returns the minimum and a solution
+        # of that size; with a floor, the first solution within it
         rng = random.Random(79)
         for _ in range(320):
             g = random_graph(rng, rng.randint(1, 14), rng.choice((0.15, 0.3, 0.5, 0.7)))
             adj, alive = _masks(g)
             core = _two_core(adj, alive, alive)
             fvs, vc = len(minimum_feedback_vertex_set(g)), len(minimum_vertex_cover(g))
-            for budget in range(fvs, fvs + 3):
-                witness = _has_fvs(adj, core, budget)
-                assert witness is not None and witness.bit_count() <= budget
-                removed = frozenset(v for v in range(g.vertex_count) if witness >> v & 1)
-                assert _is_acyclic(g, removed)
-            for budget in range(vc, vc + 3):
-                witness = _has_vc(adj, alive, budget)
-                assert witness is not None and witness.bit_count() <= budget
-                assert _is_cover(g, witness)
+            for best in range(fvs + 1, fvs + 4):
+                for floor, size in ((0, fvs), (best - 1, None)):
+                    found, witness = _min_fvs(adj, core, best, floor)
+                    assert witness is not None and found == witness.bit_count()
+                    assert found == size if size is not None else fvs <= found <= floor
+                    removed = frozenset(v for v in range(g.vertex_count) if witness >> v & 1)
+                    assert _is_acyclic(g, removed)
+            for best in range(vc + 1, vc + 4):
+                for floor, size in ((0, vc), (best - 1, None)):
+                    found, witness = _min_vc(adj, alive, best, floor)
+                    assert witness is not None and found == witness.bit_count()
+                    assert found == size if size is not None else vc <= found <= floor
+                    assert _is_cover(g, witness)
 
     def test_no_witness_below_the_brute_force_minimum(self):
         rng = random.Random(83)
@@ -378,12 +384,14 @@ class TestBitsetKernels:
             adj, alive = _masks(g)
             core = _two_core(adj, alive, alive)
             fvs, vc = brute_min_fvs_size(g), brute_min_vc_size(g)
-            for budget in range(fvs):
-                assert _has_fvs(adj, core, budget) is None
-            for budget in range(vc):
-                assert _has_vc(adj, alive, budget) is None
-            assert _has_fvs(adj, core, fvs) is not None
-            assert _has_vc(adj, alive, vc) is not None
+            for best in range(fvs + 1):
+                assert _min_fvs(adj, core, best) == (best, None)
+                assert _min_fvs(adj, core, best, best - 1) == (best, None)
+            for best in range(vc + 1):
+                assert _min_vc(adj, alive, best) == (best, None)
+                assert _min_vc(adj, alive, best, best - 1) == (best, None)
+            assert _min_fvs(adj, core, fvs + 1)[0] == fvs
+            assert _min_vc(adj, alive, vc + 1)[0] == vc
 
     def test_some_minimum_fvs_takes_a_branch_vertex(self):
         # the branching rule: a degree->=3 vertex of the cycle, or any vertex
@@ -444,6 +452,18 @@ class TestSizeOnly:
         for g in graphs:
             assert feedback_vertex_set_number(g) == len(unbounded_minimum_feedback_vertex_set(g))
             assert vertex_cover_number(g) == len(unbounded_minimum_vertex_cover(g))
+
+    def test_sizes_and_tuples_on_larger_sparse_graphs(self):
+        # one branch-and-bound below the incumbent per component, and the
+        # reconstruction's first-found decisions, past the 920-graph set's sizes
+        rng = random.Random(103)
+        for _ in range(16):
+            g = random_graph(rng, rng.randint(18, 22), rng.choice((0.25, 0.3)))
+            fvs, vc = unbounded_minimum_feedback_vertex_set(g), unbounded_minimum_vertex_cover(g)
+            assert feedback_vertex_set_number(g) == len(fvs)
+            assert vertex_cover_number(g) == len(vc)
+            assert minimum_feedback_vertex_set(g) == fvs
+            assert minimum_vertex_cover(g) == vc
 
     def test_greedy_fvs_is_a_feedback_vertex_set_of_the_core(self):
         for g in _size_test_graphs():
@@ -554,9 +574,45 @@ def _shuffled_order(rng: random.Random, graph: Graph) -> list[int]:
     return order if rng.random() < 0.5 else order[: rng.randint(0, len(order))]
 
 
+def _sequence(graph: Graph, order=None) -> list[int]:
+    """The vertices in back-substitution order: the labeling order, then the
+    vertices outside it by id (their columns go first, highest id first)."""
+    order = list(range(graph.vertex_count) if order is None else order)
+    placed = set(order)
+    return order + [v for v in range(graph.vertex_count) if v not in placed]
+
+
+def _forced_values(elimination, sequence, k, free) -> dict[int, Fraction]:
+    """Each vertex of `sequence` in turn: a pivot the value its map forces
+    at K = k from the values before it, any other vertex its `free` value
+    (0 when absent)."""
+    values: dict[int, Fraction] = {}
+    for v in sequence:
+        if v in elimination.pivots:
+            scale, constant, terms = elimination.pivots[v]
+            values[v] = (constant * k - sum(c * values[j] for j, c in terms)) / Fraction(scale)
+        else:
+            values[v] = Fraction(free.get(v, 0))
+    return values
+
+
+def _assert_forces_the_reference_values(ours, reference, sequence):
+    """Same pivots, same weights, and on every prefix that obeys the earlier
+    maps each map forces the value the reference map forces.  The maps are
+    linear in K and the free labels, so the basis K = 1 with the free
+    labels at 0, and K = 0 with one free label at 1, covers every prefix."""
+    assert ours.weights == reference.weights
+    assert set(ours.pivots) == set(reference.pivots)
+    free = [v for v in sequence if v not in ours.pivots]
+    for k, values in [(1, {})] + [(0, {v: 1}) for v in free]:
+        assert _forced_values(ours, sequence, k, values) == _forced_values(
+            reference, sequence, k, values
+        )
+
+
 class TestElimination:
-    """The reduced form of A l = K 1, by default with columns from the
-    highest id down."""
+    """A l = K 1 in echelon form, by default with columns from the highest
+    id down: each pivot row reads only vertices labeled before its pivot."""
 
     @staticmethod
     def _graphs(rng):
@@ -567,39 +623,31 @@ class TestElimination:
         yield gen_semimagic(SemiMagicSpec(3, tuple(range(1, 10)))).graph
         yield gen_3partition_k33(ThreePartitionInstance((4, 3, 2, 5, 1, 3), 2)).graph
 
-    def test_pivot_rows_are_reduced_and_canonical(self):
+    def test_pivot_rows_are_echelon_and_coprime(self):
         rng = random.Random(61)
         for g in self._graphs(rng):
             pivots = eliminate(g).pivots
             for p, (scale, constant, terms) in pivots.items():
                 assert scale > 0
-                assert all(j < p and j not in pivots and c for j, c in terms)
+                assert all(j < p and c for j, c in terms)
                 assert [j for j, _ in terms] == sorted({j for j, _ in terms})
                 assert gcd(scale, constant, *(c for _, c in terms)) == 1
 
     def test_free_labels_extend_to_every_solution(self):
-        # any free values and K, mapped to the pivots, solve A l = K 1 on
-        # each component with a weight; there is no solution on the others
+        # any free values and K, the maps evaluated in order, solve A l = K 1
+        # on each component with a weight; there is no solution on the others
         rng = random.Random(67)
         for g in self._graphs(rng):
             elimination = eliminate(g)
             k = rng.randint(1, 9)
-            values: dict[int, Fraction] = {}
-            for v in range(g.vertex_count):
-                if v in elimination.pivots:
-                    scale, constant, terms = elimination.pivots[v]
-                    values[v] = (constant * k - sum(c * values[j] for j, c in terms)) / Fraction(scale)
-                else:
-                    values[v] = Fraction(rng.randint(-5, 5))
+            free = {v: rng.randint(-5, 5) for v in range(g.vertex_count)}
+            values = _forced_values(elimination, range(g.vertex_count), k, free)
+            at_zero = _forced_values(elimination, range(g.vertex_count), 1, {})
             for comp, weight in elimination.weights:
                 holds = all(sum(values[u] for u in g.adjacency[v]) == k for v in comp)
                 assert holds == (weight is not None)
                 if weight is not None:
-                    free_at_zero = sum(
-                        Fraction(elimination.pivots[v][1], elimination.pivots[v][0])
-                        for v in comp if v in elimination.pivots
-                    )
-                    assert weight == free_at_zero
+                    assert weight == sum(at_zero[v] for v in comp)
 
     def test_fair_labelings_obey_every_pivot_map(self):
         rng = random.Random(71)
@@ -610,25 +658,24 @@ class TestElimination:
                     c * assignment[j] for j, c in terms
                 )
 
-    def test_default_order_is_the_parents_elimination(self):
+    def test_default_order_forces_what_the_parents_elimination_forces(self):
         rng = random.Random(73)
         for g in self._graphs(rng):
             expected = reference_eliminate(g)
-            assert eliminate(g) == expected
-            assert eliminate(g, range(g.vertex_count)) == expected
+            assert eliminate(g, range(g.vertex_count)) == eliminate(g)
+            _assert_forces_the_reference_values(eliminate(g), expected, _sequence(g))
 
     def test_shuffled_order_maps_read_only_earlier_positions(self):
         rng = random.Random(79)
         for g in self._graphs(rng):
             order = _shuffled_order(rng, g)
-            position = {v: i for i, v in enumerate(order)}
+            # the order of the columns' elimination, reversed
+            rank = {v: i for i, v in enumerate(_sequence(g, order))}
             elimination = eliminate(g, order)
             for p, (scale, constant, terms) in elimination.pivots.items():
                 assert scale > 0
                 assert gcd(scale, constant, *(c for _, c in terms)) == 1
-                assert all(c and j not in elimination.pivots for j, c in terms)
-                if p in position:
-                    assert all(position.get(j, len(order)) < position[p] for j, _ in terms)
+                assert all(c and rank[j] < rank[p] for j, c in terms)
             # s_C does not depend on which solution is read off
             assert elimination.weights == eliminate(g).weights
 
@@ -642,10 +689,12 @@ class TestElimination:
                 )
 
     def test_circulant_has_one_free_vertex(self):
-        pivots = eliminate(gen_circulant(10, 4)).pivots
-        assert sorted(pivots) == list(range(1, 10))
-        # l_2 = l_0: distinct labels are unfair at once
-        assert pivots[2] == (1, 0, ((0, -1),))
+        elimination = eliminate(gen_circulant(10, 4))
+        assert sorted(elimination.pivots) == list(range(1, 10))
+        # l_2 = l_0 once l_1 obeys its map: distinct labels are unfair at once
+        for k, first in ((1, 0), (0, 1), (7, 3)):
+            values = _forced_values(elimination, range(10), k, {0: first})
+            assert values[2] == first
 
 
 def _floored(graph: Graph) -> set[int]:
@@ -840,11 +889,11 @@ class TestKernelsKeepTheirOutput:
             cut += count > 1 and first_vertex_orbit(g, part, count - 1) != full
         assert cut >= 100
 
-    def test_elimination_is_the_reference_elimination_in_every_order(self):
+    def test_elimination_forces_the_reference_values_in_every_order(self):
         rng = random.Random(97)
         for g in _kernel_graphs(random.Random(101)) + list(TestElimination._graphs(rng)):
             for order in (None, range(g.vertex_count), _shuffled_order(rng, g),
                           _shuffled_order(rng, g)):
-                ours = eliminate(g, order)
-                expected = reference_ordered_eliminate(g, order)
-                assert (ours.weights, ours.pivots) == (expected.weights, expected.pivots)
+                _assert_forces_the_reference_values(
+                    eliminate(g, order), reference_ordered_eliminate(g, order), _sequence(g, order)
+                )
