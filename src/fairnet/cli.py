@@ -67,14 +67,25 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+def _positive(convert):
+    """An argparse type: the text as `convert` reads it, finite and above 0.
+    argparse reports a value that fails as an input error (`_Parser`)."""
+
+    def positive(text: str):
+        value = convert(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        return value
+
+    return positive
+
+
 @contextmanager
 def _time_limit(seconds: float | None):
     """Raise RefusalError when the wrapped block runs past the budget."""
     if seconds is None:
         yield
         return
-    if seconds <= 0:
-        raise InputError("timeout must be positive")
 
     def fire(signum, frame):
         raise RefusalError(f"timed out after {seconds}s")
@@ -296,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_options(p):
         p.add_argument("file", help="instance file")
-        p.add_argument("--k", type=int, default=None, help="pin the fairness constant")
+        p.add_argument("--k", type=_positive(int), default=None, help="pin the fairness constant")
         p.add_argument(
-            "--timeout", type=float, default=None, help="wall-clock budget in seconds"
+            "--timeout", type=_positive(float), default=None, help="wall-clock budget in seconds"
         )
 
     p_solve = sub.add_parser("solve", help="decide fairness and print a report")
@@ -333,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--algos", default="auto,oracle", help="comma-separated algorithm names"
     )
-    p_bench.add_argument("--k", type=int, default=None)
-    p_bench.add_argument("--timeout", type=float, default=None)
+    p_bench.add_argument("--k", type=_positive(int), default=None)
+    p_bench.add_argument("--timeout", type=_positive(float), default=None)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

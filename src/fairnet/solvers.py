@@ -66,7 +66,7 @@ from .structure import (
     vertex_cover_number,
 )
 
-# refinement nodes the oracle's automorphism search may spend
+# placements per twin class the oracle's automorphism search may make
 ORBIT_NODE_BUDGET = 64
 # exact fvs/vc are only attempted below this vertex count
 EXACT_PARAM_LIMIT = 32
@@ -113,8 +113,9 @@ def _oracle_tables(graph: Graph, elimination: Elimination | None = None) -> Sear
     sorting inside a class preserves fairness and never increases the
     assignment vector.  True twins must agree exactly.  For an automorphism
     s, l o s is fair whenever l is, so the smallest l has l(0) <= l(s(0)):
-    every vertex of vertex 0's orbit (`first_vertex_orbit`) takes a label
-    no smaller than vertex 0's.  Outside vertex 0's twin class that is a
+    every vertex of vertex 0's orbit (`first_vertex_orbit`, a backtracking
+    search on the twin quotient) takes a label no smaller than vertex 0's.
+    Outside vertex 0's twin class that is a
     floor on each class's first vertex; the twin ties carry it to the rest.
     A vertex whose label the ties hold below h later labels leaves h copies
     at or above it: vertex 0 takes at most the |orbit|-th largest label.

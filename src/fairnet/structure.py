@@ -7,6 +7,9 @@ as a linear map of K and the labels placed before it in the order a search
 labels vertices in: the oracle's (vertex ids) and the forest-boundary
 enumeration's (the forest, then the boundary) search free vertices only.
 
+Vertex 0's automorphism orbit is found by plain backtracking on the twin
+quotient, under a budget of placements per twin class.
+
 The feedback-vertex-set and vertex-cover routines are exact branch-and-bound
 searches meant for the small instances this package targets, run on each
 connected component alone.  The report's fvs and vc numbers come from
@@ -224,131 +227,90 @@ def twin_classes(graph: Graph, vertices: Iterable[int] | None = None) -> TwinPar
     return TwinPartition(tuple(classes))
 
 
-# one round of colour refinement: the rank of each signature, and the
-# colours the ranks give, sorted
-_Round = tuple[dict[tuple, int], list[int]]
+def _class_map(
+    masks: list[int], kinds: list[tuple], order: list[int], target: int, budget: int
+) -> tuple[list[int] | None, int]:
+    """An automorphism of the twin quotient (class i's neighbors are the
+    bits of masks[i]) mapping order[0] onto target, or None, and the
+    placements left of `budget`, past which it gives up with None.
 
-
-def _signatures(adjacency: list[tuple[int, ...]], colours: list) -> list[tuple]:
-    """Per vertex, (its colour, its neighbors' sorted colours)."""
-    return [
-        (colours[v], tuple(sorted([colours[u] for u in nbrs])))
-        for v, nbrs in enumerate(adjacency)
-    ]
-
-
-def _refine(adjacency: list[tuple[int, ...]], colours: list) -> tuple[list[int], list[_Round]]:
-    """Colour refinement: the stable colouring and the rounds that led to it.
-
-    Each round recolours a vertex by the rank of its signature among the
-    sorted distinct signatures, until a round adds no colour.
+    Each class in `order` is placed onto the lowest unused class of its
+    kind whose placed neighbors are exactly the images of its own, and the
+    search backtracks when none is left; a full map sends edges to edges.
+    The path is a list of candidate iterators, one per depth, so the class
+    count meets no recursion limit.
     """
-    count = len(set(colours))
-    rounds = []
-    while True:
-        signatures = _signatures(adjacency, colours)
-        rank = {signature: i for i, signature in enumerate(sorted(set(signatures)))}
-        colours = [rank[s] for s in signatures]
-        rounds.append((rank, sorted(colours)))
-        if len(rank) == count:
-            return colours, rounds
-        count = len(rank)
-
-
-def _replay(
-    adjacency: list[tuple[int, ...]], colours: list[int], rounds: list[_Round]
-) -> list[int] | None:
-    """Another colouring refined by the recorded rounds of `_refine`, so its
-    colours compare with that refinement's; None as soon as a round's
-    signature multiset differs, when no automorphism maps one colouring
-    onto the other."""
-    for rank, ordered in rounds:
-        try:
-            colours = [rank[s] for s in _signatures(adjacency, colours)]
-        except KeyError:
-            return None
-        if sorted(colours) != ordered:
-            return None
-    return colours
-
-
-class _OutOfBudget(Exception):
-    """The automorphism search used up its node budget."""
+    image = [-1] * len(order)
+    used = 0
+    # per depth, the images not yet tried for the class placed there
+    left = [iter((target,))]
+    while left:
+        c = order[len(left) - 1]
+        for j in left[-1]:
+            if not budget:
+                return None, 0
+            budget -= 1
+            image[c] = j
+            used |= 1 << j
+            if len(left) == len(order):
+                return image, budget
+            c = order[len(left)]
+            want = sum(1 << image[i] for i in _bits(masks[c]) if image[i] >= 0)
+            # a class with a placed neighbor maps next to that one's image
+            pool = masks[(want & -want).bit_length() - 1] if want else (1 << len(order)) - 1
+            left.append(iter([
+                k for k in _bits(pool & ~used) if kinds[k] == kinds[c] and masks[k] & used == want
+            ]))
+            break
+        else:
+            left.pop()
+            if left:
+                c = order[len(left) - 1]
+                used ^= 1 << image[c]
+                image[c] = -1
+    return None, budget
 
 
 def first_vertex_orbit(graph: Graph, part: TwinPartition, budget: int) -> tuple[int, ...]:
     """Vertices shown to lie in vertex 0's orbit under the automorphism group.
 
-    Twin classes are modules that every automorphism permutes, and a
-    colour-preserving automorphism of the twin quotient (one vertex per
-    class, coloured by class size and kind) lifts to one of the graph by
-    mapping classes onto each other in order.  So the orbit is a union of
-    classes, found on the quotient: for each class whose stable colour is
-    that of vertex 0's class and which is not yet merged with it,
-    individualization-refinement looks for an automorphism taking the one
-    onto the other, and the cycles of each automorphism found are merged
-    in a union-find.  The left side of every search is one path (vertex
-    0's class, then the first vertex of the first non-singleton cell at
-    each depth), so each depth is refined once and the right sides replay
-    its rounds.  Each refinement is one node; past `budget` nodes the
-    search stops, and every class already merged is still in the orbit.
-    The oracle asks for the orbit only where it branches on two or more
-    free positions (`solvers._oracle_tables`).
+    Twin classes are modules that every automorphism permutes, and an
+    automorphism of the twin quotient (one vertex per class) that keeps
+    each class's size and twin kind lifts to one of the graph by mapping
+    classes onto each other in order.  So the orbit is a union of classes,
+    found on the quotient: for each class of the kind of vertex 0's class
+    (size, twin kind, quotient degree) not yet merged with it, a
+    backtracking search (`_class_map`) looks for an automorphism taking the
+    one onto the other, placing the classes breadth-first from vertex 0's,
+    one quotient component after another.  Each automorphism found is
+    re-checked edge by edge and its cycles are merged in a union-find.
+    Each class placed is one node; the call places at most `budget` nodes
+    per class, and past that it stops with every class already merged
+    still in the orbit.  The oracle asks for the orbit only where it
+    branches on two or more free positions (`solvers._oracle_tables`).
     """
     classes = part.classes
     if len(classes) < 2 or budget <= 0:
         return classes[0].vertices if classes else ()
     class_of = {v: i for i, cls in enumerate(classes) for v in cls.vertices}
-    adjacency = [
-        tuple(sorted({class_of[u] for u in graph.adjacency[cls.vertices[0]]} - {i}))
+    masks = [
+        sum({1 << class_of[u] for u in graph.adjacency[cls.vertices[0]]} - {1 << i})
         for i, cls in enumerate(classes)
     ]
-    kinds = [(len(cls.vertices), cls.true_twin) for cls in classes]
-    stable = _refine(adjacency, kinds)[0]
-    nodes = 1
-
-    def individualize(colours: list[int], v: int) -> list[int]:
-        # ranks run 0..c-1, so c is a fresh colour on either side
-        marked = list(colours)
-        marked[v] = len(colours)
-        return marked
-
-    # per depth of the left path: its refined colouring, the rounds, and
-    # the first non-singleton cell (None once the colouring is discrete)
-    path: list[tuple[list[int], list[_Round], int | None]] = []
-
-    def search(depth: int, right: list[int]) -> list[int] | None:
-        """An automorphism mapping the left colouring at `depth` onto the
-        right one."""
-        nonlocal nodes
-        if nodes >= budget:
-            raise _OutOfBudget
-        nodes += 1
-        if depth == len(path):
-            if path:
-                left, _, cell = path[-1]
-                marked = individualize(left, left.index(cell))
-            else:
-                marked = individualize(stable, 0)
-            left, rounds = _refine(adjacency, marked)
-            ordered = rounds[-1][1]
-            cell = next((a for a, b in zip(ordered, ordered[1:]) if a == b), None)
-            path.append((left, rounds, cell))
-        left, rounds, cell = path[depth]
-        right = _replay(adjacency, right, rounds)
-        if right is None:
-            return None
-        if cell is None:
-            place = [0] * len(right)
-            for v, colour in enumerate(right):
-                place[colour] = v
-            return [place[colour] for colour in left]
-        for w, colour in enumerate(right):
-            if colour == cell:
-                found = search(depth + 1, individualize(right, w))
-                if found is not None:
-                    return found
-        return None
+    kinds = [(len(cls.vertices), cls.true_twin, mask.bit_count())
+             for cls, mask in zip(classes, masks)]
+    order: list[int] = []
+    rest = (1 << len(classes)) - 1
+    while rest:
+        # the next component, breadth-first from its lowest class
+        frontier = rest & -rest
+        while frontier:
+            rest ^= frontier
+            reach = 0
+            for c in _bits(frontier):
+                order.append(c)
+                reach |= masks[c]
+            frontier = reach & rest
 
     parent = list(range(len(classes)))
 
@@ -358,23 +320,22 @@ def first_vertex_orbit(graph: Graph, part: TwinPartition, budget: int) -> tuple[
             i = parent[i]
         return i
 
-    try:
-        for target in range(1, len(classes)):
-            if stable[target] != stable[0] or find(target) == find(0):
-                continue
-            sigma = search(0, individualize(stable, target))
-            if sigma is None:
-                continue
+    budget *= len(classes)
+    for target in range(1, len(classes)):
+        if kinds[target] != kinds[0] or find(target) == find(0):
+            continue
+        sigma, budget = _class_map(masks, kinds, order, target, budget)
+        if sigma is not None:
             if sorted(sigma) != list(range(len(classes))) or any(
                 kinds[sigma[i]] != kinds[i]
-                or any(sigma[j] not in adjacency[sigma[i]] for j in adjacency[i])
+                or any(not masks[sigma[i]] >> sigma[j] & 1 for j in _bits(masks[i]))
                 for i in range(len(classes))
             ):
-                raise FairnetError("internal error: refinement mapped a non-automorphism")
+                raise FairnetError("internal error: the orbit search mapped a non-automorphism")
             for i, j in enumerate(sigma):
                 parent[find(i)] = find(j)
-    except _OutOfBudget:
-        pass
+        if not budget:
+            break
     root = find(0)
     return tuple(sorted(
         v for i, cls in enumerate(classes) if find(i) == root for v in cls.vertices

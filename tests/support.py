@@ -237,6 +237,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def hypercube(d: int) -> Graph:
+    n = 1 << d
+    edges = [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1]
+    return Graph.from_edges(n, edges)
+
+
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
 def random_labels(
     rng: random.Random, n: int, max_value: int = 6, alpha_cap: int = 4
 ) -> LabelMultiset:
@@ -1062,8 +1074,8 @@ def reference_ordered_eliminate(graph: Graph, order: Iterable[int] | None = None
 
 
 # Vertex 0's orbit as it was before each left individualization path was
-# refined once, copied verbatim (only renamed).  `first_vertex_orbit` must
-# give exactly its orbit, for every budget.
+# refined once, copied verbatim (only renamed).  At the oracle's budget
+# `first_vertex_orbit` must give exactly its orbit, and below it a part.
 def reference_refine_pair(
     adjacency: list[tuple[int, ...]], left: list, right: list
 ) -> tuple[list[int], list[int]] | None:

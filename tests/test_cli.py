@@ -244,6 +244,28 @@ class TestSolve:
         assert capsys.readouterr().out == first
 
 
+class TestOptionValues:
+    """--timeout and --k are checked once, when the command line is parsed."""
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
+    def test_timeout_must_be_finite_and_positive(self, tmp_path, capsys, command, timeout):
+        path = put(tmp_path, "c4", C4_TEXT)
+        target = str(tmp_path) if command == "bench" else path
+        assert main([command, target, "--timeout", timeout]) == 3
+        captured = capsys.readouterr()
+        # rejected before any file is read: bench prints no row
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_bench_k_must_be_positive(self, tmp_path, capsys):
+        put(tmp_path, "c4", C4_TEXT)
+        assert main(["bench", str(tmp_path), "--k", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 class TestOracle:
     def test_subcommand(self, tmp_path, capsys):
         assert main(["oracle", put(tmp_path, "c4", C4_TEXT)]) == 0

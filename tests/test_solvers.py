@@ -44,6 +44,8 @@ from support import (
     brute_force_fair,
     constructed_fair,
     gauss_jordan_weights,
+    grid,
+    hypercube,
     orbit_oracle_tables,
     random_graph,
     random_instance,
@@ -105,18 +107,6 @@ class TestOracle:
         assert oracle_constants(cycle_graph(4), S(1, 2, 3, 4)) == [5]
         assert oracle_constants(cycle_graph(6), S(1, 2, 3, 1, 2, 3)) == []
         assert oracle_constants(empty_graph(2), S(1, 2)) == []
-
-
-def hypercube(d):
-    n = 1 << d
-    edges = [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1]
-    return Graph.from_edges(n, edges)
-
-
-def grid(rows, cols):
-    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
-    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
-    return Graph.from_edges(rows * cols, edges)
 
 
 class TestNodeBudget:

@@ -50,7 +50,6 @@ from fairnet.structure import (
 )
 from fairnet import solvers, structure
 from fairnet.solvers import ORBIT_NODE_BUDGET, _oracle_tables
-import support
 from support import (
     _is_acyclic,
     brute_first_vertex_orbit,
@@ -58,6 +57,8 @@ from support import (
     brute_min_vc_size,
     constructed_fair,
     gauss_jordan_weights,
+    grid,
+    hypercube,
     random_graph,
     random_labels,
     reference_eliminate,
@@ -813,23 +814,46 @@ class TestFirstVertexOrbit:
             assert budgeted.stats.nodes <= unbudgeted.stats.nodes
 
     def test_budget_cut_keeps_what_was_found(self):
+        # six twin classes: each budget unit is six placements, and each
+        # automorphism found places all six
         g = disjoint_union(*[complete_bipartite(3, 3)] * 3)
         part = twin_classes(g)
         orbits = [set(first_vertex_orbit(g, part, budget)) for budget in range(12)]
-        assert orbits[0] == orbits[1] == {0, 1, 2}
-        assert all(a <= b for a, b in zip(orbits, orbits[1:]))
-        assert orbits[-1] == set(range(18))
+        assert orbits[:4] == [set(range(3)), set(range(6)), set(range(12)), set(range(18))]
+        assert all(orbit == set(range(18)) for orbit in orbits[4:])
 
     def test_non_automorphism_is_an_error(self, monkeypatch):
-        def blind(adjacency, colours, rounds):
-            # the right side refines to a rotation of the path's vertices,
-            # which breaks its edges
-            count = len(adjacency)
-            return [(v - 1) % count for v in range(count)]
+        def blind(masks, kinds, order, target, budget):
+            # a rotation of the path's vertices, which breaks its edges
+            count = len(masks)
+            return [(v - 1) % count for v in range(count)], budget - count
 
-        monkeypatch.setattr(structure, "_replay", blind)
+        monkeypatch.setattr(structure, "_class_map", blind)
         with pytest.raises(FairnetError, match="non-automorphism"):
             first_vertex_orbit(path_graph(4), twin_classes(path_graph(4)), 10)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [hypercube(5), hypercube(7), gen_circulant(31, 6), gen_circulant(200, 6), grid(6, 6),
+         grid(20, 20), gen_semimagic(SemiMagicSpec(4, tuple(range(1, 17)))).graph,
+         disjoint_union(*[PETERSEN] * 3)],
+        ids=["Q5", "Q7", "C31(1,2,3)", "C200(1,2,3)", "grid6x6", "grid20x20", "semimagic4",
+             "3xPetersen"],
+    )
+    def test_reference_orbit_on_large_symmetric_graphs(self, graph):
+        # up to 400 twin classes: the search keeps its path in a list, not
+        # in one Python frame per class
+        part = twin_classes(graph)
+        assert first_vertex_orbit(graph, part, ORBIT_NODE_BUDGET) == reference_first_vertex_orbit(
+            graph, part, ORBIT_NODE_BUDGET
+        )
+
+    def test_backtracking_finds_what_refinement_stopped_short_of(self):
+        g = disjoint_union(*[complete_bipartite(3, 3)] * 8)
+        part = twin_classes(g)
+        found = first_vertex_orbit(g, part, ORBIT_NODE_BUDGET)
+        assert set(found) > set(reference_first_vertex_orbit(g, part, ORBIT_NODE_BUDGET))
+        assert found == tuple(range(48))
 
 
 def _kernel_graphs(rng: random.Random) -> list[Graph]:
@@ -861,32 +885,21 @@ class TestKernelsKeepTheirOutput:
     """The orbit and the elimination give exactly what the copies of their
     earlier versions in `support` give."""
 
-    def test_orbit_is_the_reference_orbit_for_every_budget(self, monkeypatch):
-        # a search of N nodes (the stable refinement and one per search
-        # call) checks the budget at 1..N-1 only, so every budget from N on
-        # gives the budget-64 orbit: below that, each budget is compared
-        nodes = []
-        refine_pair, replay = support.reference_refine_pair, structure._replay
-        monkeypatch.setattr(
-            support, "reference_refine_pair",
-            lambda *args: nodes.append("reference") or refine_pair(*args),
-        )
-        monkeypatch.setattr(structure, "_replay", lambda *args: nodes.append("new") or replay(*args))
+    def test_orbit_is_the_reference_orbit(self):
+        # the reference counts refinements where the search counts
+        # placements, so below the full budget the orbit only has to grow
+        # with the budget inside the reference's
         cut = 0
         for g in _kernel_graphs(random.Random(89)):
             part = twin_classes(g)
-            nodes.clear()
-            full = reference_first_vertex_orbit(g, part, 64)
-            assert first_vertex_orbit(g, part, 64) == full
-            count = nodes.count("reference")
-            if len(part.classes) >= 2:
-                # the new search refines the stable colouring outside `_replay`
-                assert nodes.count("new") + 1 == count
-            for budget in range(min(count, 64)):
-                assert first_vertex_orbit(g, part, budget) == reference_first_vertex_orbit(
-                    g, part, budget
-                ), (g.adjacency, budget)
-            cut += count > 1 and first_vertex_orbit(g, part, count - 1) != full
+            full = set(reference_first_vertex_orbit(g, part, ORBIT_NODE_BUDGET))
+            assert set(first_vertex_orbit(g, part, ORBIT_NODE_BUDGET)) == full
+            smaller = set()
+            for budget in range(ORBIT_NODE_BUDGET):
+                orbit = set(first_vertex_orbit(g, part, budget))
+                assert smaller <= orbit <= full, (g.adjacency, budget)
+                smaller = orbit
+            cut += first_vertex_orbit(g, part, 1) != full
         assert cut >= 100
 
     def test_elimination_forces_the_reference_values_in_every_order(self):
