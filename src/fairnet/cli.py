@@ -13,6 +13,7 @@ import math
 import random
 import signal
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -67,14 +68,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _positive(convert):
-    """An argparse type: the text as `convert` reads it, finite and above 0.
-    argparse reports a value that fails as an input error (`_Parser`)."""
+def _positive(convert, top: float = math.inf):
+    """An argparse type: the text as `convert` reads it, finite, above 0 and
+    at most `top`.  argparse reports a value that fails as an input error
+    (`_Parser`)."""
 
     def positive(text: str):
         value = convert(text)
         if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        if value > top:
+            raise argparse.ArgumentTypeError(f"must be at most {top}, got {text!r}")
         return value
 
     return positive
@@ -304,12 +308,14 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fairnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # the longest budget signal.setitimer holds on this platform
+    seconds = _positive(float, threading.TIMEOUT_MAX)
 
     def add_solver_options(p):
         p.add_argument("file", help="instance file")
         p.add_argument("--k", type=_positive(int), default=None, help="pin the fairness constant")
         p.add_argument(
-            "--timeout", type=_positive(float), default=None, help="wall-clock budget in seconds"
+            "--timeout", type=seconds, default=None, help="wall-clock budget in seconds"
         )
 
     p_solve = sub.add_parser("solve", help="decide fairness and print a report")
@@ -345,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algos", default="auto,oracle", help="comma-separated algorithm names"
     )
     p_bench.add_argument("--k", type=_positive(int), default=None)
-    p_bench.add_argument("--timeout", type=_positive(float), default=None)
+    p_bench.add_argument("--timeout", type=seconds, default=None)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

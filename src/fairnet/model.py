@@ -10,12 +10,11 @@ certificate produced anywhere in the package must pass it.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, wraps
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 # All neighborhood arithmetic must stay inside signed 64-bit range; rejecting
 # multisets whose total reaches 2**62 leaves ample headroom for degree sums.
@@ -276,7 +275,6 @@ class SolveStats:
 
     nodes: int = 0
     ilp_calls: int = 0
-    elapsed: float = 0.0
     trace: list[str] = field(default_factory=list)
     strategy: str = "auto"
 
@@ -305,19 +303,6 @@ class SolveOutcome:
     @classmethod
     def make_unfair(cls, stats: SolveStats) -> "SolveOutcome":
         return cls(Verdict.UNFAIR, None, stats)
-
-
-def timed(solver: Callable[..., SolveOutcome]) -> Callable[..., SolveOutcome]:
-    """Record the wall time of each call in the returned outcome's stats."""
-
-    @wraps(solver)
-    def run(*args, **kwargs) -> SolveOutcome:
-        t0 = time.perf_counter()
-        outcome = solver(*args, **kwargs)
-        outcome.stats.elapsed = time.perf_counter() - t0
-        return outcome
-
-    return run
 
 
 def neighborhood_sum(graph: Graph, labels: Sequence[int], v: int) -> int:

@@ -47,7 +47,6 @@ from .model import (
     # unused here, but perfbench/tracing.py wraps it under this module
     fairness_constant_candidates,  # noqa: F401
     require_constant,
-    timed,
 )
 from .search import ENUMERATION_CAP, SearchTables, ordered_search
 from .special import _solve_cycles, enumerate_boundary_extensions, solve_disjoint_stars
@@ -119,7 +118,7 @@ def _oracle_tables(graph: Graph, elimination: Elimination | None = None) -> Sear
     floor on each class's first vertex; the twin ties carry it to the rest.
     A vertex whose label the ties hold below h later labels leaves h copies
     at or above it: vertex 0 takes at most the |orbit|-th largest label.
-    Every vertex whose neighborhood is fully labeled pins the constant;
+    Every vertex whose neighborhood is fully labeled must see K exactly;
     partially labeled neighborhoods prune via min/max completions.  Given
     the elimination, each pivot vertex gets its `PivotMap`: it involves
     only vertices with lower ids, so with K known the pivot's label is
@@ -157,7 +156,6 @@ def _oracle_tables(graph: Graph, elimination: Elimination | None = None) -> Sear
     )
 
 
-@timed
 def solve_oracle(graph: Graph, labels: LabelMultiset, k: int | None = None) -> SolveOutcome:
     """Exhaustive exact decision; canonically first certificate.
 
@@ -192,26 +190,25 @@ def _oracle_search(graph: Graph, labels: LabelMultiset, k: int,
     which `solve_auto` hands over from its forced constant."""
     stats = SolveStats(strategy=StrategyTag.ORACLE.value)
     tables = _oracle_tables(graph, elimination)
-    for assignment, constant in ordered_search(tables, labels, stats, k):
-        return certified_outcome(graph, labels, assignment, constant, stats)
+    for assignment in ordered_search(tables, labels, stats, k):
+        return certified_outcome(graph, labels, assignment, k, stats)
     return SolveOutcome.make_unfair(stats)
 
 
 def oracle_constants(graph: Graph, labels: LabelMultiset) -> list[int]:
-    """Every constant realized by some fair labeling, via full enumeration.
+    """Every constant realized by some fair labeling: the forced one
+    (`_forced_constant`, the only one a fair labeling can have) when the
+    oracle finds a fair labeling.
 
     Empty when the graph is unfair for the multiset; also empty for edgeless
     graphs, whose fairness carries no integer constant.
     """
-    if len(labels) != graph.vertex_count:
-        raise InputError("label multiset size does not match the vertex count")
-    if graph.is_edgeless() or graph.min_degree() == 0:
+    outcome = solve_oracle(graph, labels)
+    if graph.is_edgeless() or not outcome.fair:
         return []
-    completions = ordered_search(_oracle_tables(graph), labels, SolveStats())
-    return sorted({constant for _, constant in completions})
+    return [outcome.certificate.constant]
 
 
-@timed
 def solve_vc_delta(
     graph: Graph, labels: LabelMultiset, k: int | None = None
 ) -> SolveOutcome:
@@ -239,7 +236,6 @@ def _pendant_screen(graph: Graph, stats: SolveStats, report: ShapeReport) -> boo
     return False
 
 
-@timed
 def solve_fvs_alpha_delta(
     graph: Graph, labels: LabelMultiset, k: int | None = None
 ) -> SolveOutcome:
@@ -330,7 +326,6 @@ def _cover_tables(graph: Graph, cover: tuple[int, ...],
     )
 
 
-@timed
 def solve_vc_alpha(
     graph: Graph, labels: LabelMultiset, k: int | None = None
 ) -> SolveOutcome:
@@ -383,7 +378,7 @@ def solve_vc_alpha(
 
     def decide(k: int) -> SolveOutcome:
         sub = SolveStats()
-        for values, _ in ordered_search(tables, labels, sub, k):
+        for values in ordered_search(tables, labels, sub, k):
             remaining = labels.counts - Counter(values[v] for v in cover)
             totals = [k - sum(values[u] for u in side) for _, side in cover_rows]
             sub.ilp_calls += 1
@@ -400,7 +395,6 @@ def solve_vc_alpha(
     return _decide(constants, stats, decide)
 
 
-@timed
 def solve_regular_fvs(
     graph: Graph, labels: LabelMultiset, k: int | None = None
 ) -> SolveOutcome:
@@ -570,7 +564,6 @@ def _decide(constants: list[int], stats: SolveStats,
     return outcome
 
 
-@timed
 def solve_auto(
     graph: Graph, labels: LabelMultiset, k: int | None = None
 ) -> SolveOutcome:

@@ -46,15 +46,15 @@ from .model import (
     SolveStats,
     certified_outcome,
     require_constant,
-    timed,
 )
-from .search import ForcingStep, SearchTables, _forced_value, ordered_search
+from .search import SearchTables, ordered_search
 from .structure import Elimination, PivotMap, connected_components, eliminate
 
 PartialAssignment = dict[int, int]
+# an internal forest vertex and, per child w, the neighbors of w but the vertex
+ForcingStep = tuple[int, tuple[tuple[int, ...], ...]]
 
 
-@timed
 def solve_single_star(leaf_count: int, labels: LabelMultiset, k: int) -> SolveOutcome:
     """Decide fairness of the canonical star (center 0, leaves 1..n)."""
     require_constant(k)
@@ -65,7 +65,6 @@ def solve_single_star(leaf_count: int, labels: LabelMultiset, k: int) -> SolveOu
     return solve_disjoint_stars(star_graph(leaf_count), labels, k)
 
 
-@timed
 def solve_cycle(length: int, labels: LabelMultiset, k: int) -> SolveOutcome:
     """Decide fairness of the canonical cycle 0-1-...-(n-1)-0."""
     require_constant(k)
@@ -187,7 +186,6 @@ def _leaf_groups(supply: Mapping[int, int], size: int, k: int) -> Iterator[tuple
             )
 
 
-@timed
 def solve_disjoint_stars(graph: Graph, labels: LabelMultiset, k: int) -> SolveOutcome:
     """Decide fairness of a disjoint union of stars via a counting program.
 
@@ -230,6 +228,19 @@ def solve_disjoint_stars(graph: Graph, labels: LabelMultiset, k: int) -> SolveOu
             for leaf, value in zip(sorted(leaves), combo):
                 assignment[leaf] = value
     return certified_outcome(graph, labels, assignment, k, stats)
+
+
+def _forced_value(entries: tuple[tuple[int, ...], ...],
+                  known: Mapping[int, int], k: int) -> int | None:
+    """The label every child's equation forces on its parent; None on conflict."""
+    forced = None
+    for others in entries:
+        value = k - sum(known[u] for u in others)
+        if forced is None:
+            forced = value
+        elif value != forced:
+            return None
+    return forced
 
 
 class ForestExtender:
@@ -385,9 +396,11 @@ def enumerate_boundary_extensions(
     every vertex whose whole neighborhood lies in the domain or the forest
     sees exactly K.  Restrictions of genuine fair labelings always survive.
 
-    Every check runs as soon as its inputs are labeled: a tree is forced at
-    the position of the last domain vertex its forcing steps or its root
-    equation read, and an equation is checked exactly once its last neighbor
+    Every check runs as soon as its inputs are labeled: a tree's inner
+    vertices follow the last domain vertex its forcing steps or its root
+    equation read, each mapped to the label its first child's equation
+    forces (the other children's equations, then fully labeled, check that
+    they agree), and an equation is checked exactly once its last neighbor
     is labeled, and against the min/max completion of its pending neighbors
     before that.  When the domain and the forest cover the graph, each
     domain pivot of A l = K 1 (`structure.eliminate` in the domain's order,
@@ -413,30 +426,33 @@ def enumerate_boundary_extensions(
         for v in range(graph.vertex_count)
     ]
     pos = {v: i for i, v in enumerate(domain)}
-    forcing_at: list[list[ForcingStep]] = [[] for _ in domain]
-    touched_at = [set(feeds[v]) for v in domain]
+    # per domain position, the steps of the trees whose last read it labels
+    forced_after: list[list[ForcingStep]] = [[] for _ in domain]
     for steps in extender.trees:
         reads = {u for _, entries in steps for others in entries for u in others}
         reads.update(adjacency[steps[-1][0]])
-        trigger = max(pos[u] for u in reads if u in pos)
-        forcing_at[trigger].extend(steps)
-        for v, _ in steps:
-            touched_at[trigger].update(feeds[v])
-    maps: list[PivotMap | None] = []
+        forced_after[max(pos[u] for u in reads if u in pos)].extend(steps)
+    pivots: Mapping[int, PivotMap] = {}
     if len(known) == graph.vertex_count:
         # every equation is checked, so each map holds on all that is yielded
         pivots = (elimination or eliminate(graph, domain)).pivots
-        maps = [pivots.get(v) for v in domain]
+    order: list[int] = []
+    maps: list[PivotMap | None] = []
+    for v, steps in zip(domain, forced_after):
+        order.append(v)
+        maps.append(pivots.get(v))
+        for w, entries in steps:
+            # the first child's equation forces w; the others' are checked at w
+            order.append(w)
+            maps.append((1, 1, tuple((u, 1) for u in entries[0])))
     tables = SearchTables(
-        tuple(domain),
+        tuple(order),
         feeds,
         graph.degrees,
-        [tuple(sorted(touched)) for touched in touched_at],
-        forcing_at=forcing_at,
-        maps=maps,
+        [feeds[v] for v in order],
+        maps=maps if any(maps) else [],
         # an isolated vertex sees 0, never the positive K
         root_checks=tuple(u for u in sorted(checked) if not adjacency[u]),
     )
-    order = domain + [v for steps in extender.trees for v, _ in steps]
-    for values, _ in ordered_search(tables, labels, stats or SolveStats(), k):
+    for values in ordered_search(tables, labels, stats or SolveStats(), k):
         yield {v: values[v] for v in order}

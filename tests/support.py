@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from fairnet import (
     FairnetError,
@@ -32,13 +33,13 @@ from fairnet import (
 from fairnet.ilp import Allocation, _window
 from fairnet.model import (
     InputError,
+    RefusalError,
     SolveOutcome,
     SolveStats,
     certified_outcome,
     require_constant,
-    timed,
 )
-from fairnet.search import ForcingStep, SearchTables, ordered_search
+from fairnet.search import ENUMERATION_CAP, SearchTables
 from fairnet.solvers import (
     EXACT_PARAM_LIMIT,
     ORBIT_NODE_BUDGET,
@@ -46,7 +47,14 @@ from fairnet.solvers import (
     _adopt,
     solve_oracle,
 )
-from fairnet.special import ForestExtender, PartialAssignment, _solve_cycles, star_decomposition
+from fairnet.special import (
+    ForcingStep,
+    ForestExtender,
+    PartialAssignment,
+    _forced_value,
+    _solve_cycles,
+    star_decomposition,
+)
 from fairnet.structure import (
     Elimination,
     PivotMap,
@@ -674,6 +682,205 @@ def orbit_oracle_tables(graph: Graph) -> SearchTables:
     )
 
 
+# `search.ordered_search` and its tables as they were before the search
+# became one loop, copied verbatim (only renamed): one generator frame per
+# labeled position, forest labels fixed by forcing steps, and a K-less mode
+# that pins K at the first exact check.  Where this one fits the stack, the
+# loop must yield the same stream, in the same order, in the same nodes.
+@dataclass(frozen=True)
+class RecursiveSearchTables:
+    """What one enumerator labels and checks; independent of K and the labels.
+
+    order: the vertices labeled, position by position.
+    feeds: per vertex id, the equations its label enters.
+    pending: per equation, the labels it waits for before the search starts.
+    checks_at: per position, the equations checked once it is labeled.
+    forcing_at: per position, forcing steps that label forest vertices
+        there, after the position's own vertex (empty: nothing forced).
+    ties: per position, None or (earlier vertex, equal): the label must
+        equal that vertex's label, or must not fall below it (a floor).
+    held: per position, how many later labels the ties hold at or above
+        its label, directly or through other ties; a value is tried only
+        while that many copies at or above it are left besides its own.
+    maps: per position, None or an integer linear map (D, c, ((j, c_j), ...))
+        over earlier positions, free or mapped: with K given, the position
+        takes the one value (c K - sum of c_j l_j) / D, which must be an
+        integer with a copy left and pass the position's tie and `held`
+        rules, or the branch dies.  Such a position is no node.
+    root_checks: equations nothing feeds, checked against the given K
+        before the first position.
+    """
+
+    order: tuple[int, ...]
+    feeds: Sequence[Sequence[int]]
+    pending: Sequence[int]
+    checks_at: Sequence[Sequence[int]]
+    forcing_at: Sequence[Sequence[ForcingStep]] = ()
+    ties: Sequence[tuple[int, bool] | None] = ()
+    held: Sequence[int] = ()
+    maps: Sequence[PivotMap | None] = ()
+    root_checks: tuple[int, ...] = ()
+
+
+def recursive_ordered_search(tables: RecursiveSearchTables, labels: LabelMultiset, stats: SolveStats,
+                   k: int | None = None) -> Iterator[tuple[list[int], int | None]]:
+    """Yield (label per vertex id, K) for each labeling no checked equation breaks.
+
+    Labelings come in lexicographic order of the labels along `order`.
+    Without a given K, the first equation checked exactly pins it; forcing
+    steps and root checks need a given K.  The yielded list is the live
+    search state, valid until the generator resumes.  `stats.nodes` counts
+    each tried (position, value) pair with a copy left, at positions the
+    maps leave free; maps apply only with a given K.  Once `stats.nodes`
+    exceeds `ENUMERATION_CAP` the search raises RefusalError.
+    """
+    order, feeds = tables.order, tables.feeds
+    size = len(order)
+    forcing_at = tables.forcing_at or [()] * size
+    ties = tables.ties or [None] * size
+    held = tables.held or [0] * size
+    maps = tables.maps if k is not None and tables.maps else [None] * size
+    # per position, read once per node: the vertex, the equations its label
+    # enters, None or (tie vertex or None, equal, map with c K folded in),
+    # forcing steps, checks, held count, and 0 for a mapped position (no node)
+    slots = []
+    for i, v in enumerate(order):
+        tie, linear = ties[i], maps[i]
+        if linear is not None:
+            scale, weight, terms = linear
+            linear = (scale, weight * k, terms)
+        anchor, equal = tie or (None, False)
+        rule = None if tie is None and linear is None else (anchor, equal, linear)
+        slots.append((v, feeds[v], rule, forcing_at[i], tables.checks_at[i], held[i],
+                      int(linear is None)))
+    budget = ENUMERATION_CAP
+    distinct = labels.distinct_values
+    low, high = distinct[0], distinct[-1]
+    remaining = dict(labels.counts)  # a plain dict subscripts faster than a Counter
+    value_of = [0] * len(feeds)
+    partial = [0] * len(tables.pending)
+    pending = list(tables.pending)
+
+    def force(steps: Sequence[ForcingStep], k: int) -> list[int] | None:
+        """Label the vertices the steps force, taking copies; None on failure."""
+        forced = []
+        for v, entries in steps:
+            value = _forced_value(entries, value_of, k)
+            # labels are positive, so no copy is left of a value below 1
+            if value is None or remaining.get(value, 0) == 0:
+                for u in forced:
+                    remaining[value_of[u]] += 1
+                return None
+            value_of[v] = value
+            remaining[value] -= 1
+            forced.append(v)
+        return forced
+
+    def dfs(i: int, k: int | None) -> Iterator[tuple[list[int], int | None]]:
+        if i == size:
+            yield value_of, k
+            return
+        v, fed, rule, steps, checks, need, tried = slots[i]
+        if rule is None:
+            options: Sequence[int] = distinct
+        else:
+            anchor, equal, linear = rule
+            if linear is not None:
+                scale, base, terms = linear
+                value, rest = divmod(base - sum([c * value_of[j] for j, c in terms]), scale)
+                if rest or not remaining.get(value) or anchor is not None and (
+                    value != value_of[anchor] if equal else value < value_of[anchor]
+                ):
+                    return
+                options = (value,)
+            elif equal:
+                options = (value_of[anchor],)
+            else:
+                floor = value_of[anchor]
+                options = [value for value in distinct if value >= floor]
+        if need:
+            # the largest value with `need` more copies at or above it
+            left = 0
+            for top in reversed(distinct):
+                left += remaining[top]
+                if left > need:
+                    break
+            else:
+                return
+            options = [value for value in options if value <= top]
+        for value in options:
+            if remaining[value] == 0:
+                continue
+            nodes = stats.nodes + tried
+            if nodes > budget:
+                raise RefusalError(f"search exceeds the node budget of {budget} nodes")
+            stats.nodes = nodes
+            remaining[value] -= 1
+            value_of[v] = value
+            forced = force(steps, k) if steps else ()
+            if forced is not None:
+                for u in fed:
+                    partial[u] += value
+                    pending[u] -= 1
+                for w in forced:
+                    for u in feeds[w]:
+                        partial[u] += value_of[w]
+                        pending[u] -= 1
+                pinned = k
+                for u in checks:
+                    total, left = partial[u], pending[u]
+                    if left == 0:
+                        if pinned is None:
+                            pinned = total
+                        elif total != pinned:
+                            break
+                    elif pinned is not None and not (
+                        total + left * low <= pinned <= total + left * high
+                    ):
+                        break
+                else:
+                    yield from dfs(i + 1, pinned)
+                for u in fed:
+                    partial[u] -= value
+                    pending[u] += 1
+                for w in forced:
+                    for u in feeds[w]:
+                        partial[u] -= value_of[w]
+                        pending[u] += 1
+                    remaining[value_of[w]] += 1
+            remaining[value] += 1
+
+    # an equation nothing feeds sees 0 plus its pending labels
+    if all(pending[u] * low <= k <= pending[u] * high for u in tables.root_checks):
+        yield from dfs(0, k)
+
+
+def recursive_tables(tables: SearchTables) -> RecursiveSearchTables:
+    """The same tables for the recursive kernel: nothing forced."""
+    return RecursiveSearchTables(
+        tables.order, tables.feeds, tables.pending, tables.checks_at, ties=tables.ties,
+        held=tables.held, maps=tables.maps, root_checks=tables.root_checks,
+    )
+
+
+# `oracle_constants` as it was before it read the forced constant off the
+# oracle's verdict, on the floorless tables above and the recursive kernel:
+# the K-less enumeration of every constant a fair labeling realizes.
+def reference_oracle_constants(graph: Graph, labels: LabelMultiset) -> list[int]:
+    """Every constant realized by some fair labeling, via full enumeration.
+
+    Empty when the graph is unfair for the multiset; also empty for edgeless
+    graphs, whose fairness carries no integer constant.
+    """
+    if len(labels) != graph.vertex_count:
+        raise InputError("label multiset size does not match the vertex count")
+    if graph.is_edgeless() or graph.min_degree() == 0:
+        return []
+    tables = recursive_tables(reference_oracle_tables(graph))
+    completions = recursive_ordered_search(tables, labels, SolveStats())
+    return sorted({constant for _, constant in completions})
+
+
 # `solve_feasible` as it was before its search became iterative, copied
 # verbatim (only renamed): one Python frame per variable.  The iterative
 # search must return exactly its results wherever this one fits the stack.
@@ -741,7 +948,6 @@ def recursive_solve_feasible(program: IntegerProgram) -> IpSolution:
 # the supply, copied verbatim (only renamed; the disjoint stars' program goes
 # to the recursive search above).  Both must keep their verdicts and
 # certificates.
-@timed
 def reference_solve_single_star(leaf_count: int, labels: LabelMultiset, k: int) -> SolveOutcome:
     """Decide fairness of the canonical star (center 0, leaves 1..n)."""
     require_constant(k)
@@ -757,7 +963,6 @@ def reference_solve_single_star(leaf_count: int, labels: LabelMultiset, k: int) 
     return certified_outcome(star_graph(leaf_count), labels, (k, *rest.values), k, stats)
 
 
-@timed
 def reference_solve_disjoint_stars(graph: Graph, labels: LabelMultiset, k: int) -> SolveOutcome:
     """Decide fairness of a disjoint union of stars via a counting program.
 
@@ -810,7 +1015,6 @@ def reference_solve_disjoint_stars(graph: Graph, labels: LabelMultiset, k: int) 
 # copied verbatim (only renamed), with its own r * sum / n check and its
 # branches for degree 1, 2 and >= 3.  `solve_auto` and the thin
 # `solve_regular_fvs` must keep its verdicts and certificates.
-@timed
 def reference_solve_regular_fvs(
     graph: Graph, labels: LabelMultiset, k: int | None = None
 ) -> SolveOutcome:
@@ -969,7 +1173,7 @@ def reference_enumerate_boundary_extensions(
         forcing_at[trigger].extend(steps)
         for v, _ in steps:
             touched_at[trigger].update(feeds[v])
-    tables = SearchTables(
+    tables = RecursiveSearchTables(
         tuple(domain),
         feeds,
         graph.degrees,
@@ -979,7 +1183,7 @@ def reference_enumerate_boundary_extensions(
         root_checks=tuple(u for u in sorted(checked) if not adjacency[u]),
     )
     order = domain + [v for steps in extender.trees for v, _ in steps]
-    for values, _ in ordered_search(tables, labels, stats or SolveStats(), k):
+    for values, _ in recursive_ordered_search(tables, labels, stats or SolveStats(), k):
         yield {v: values[v] for v in order}
 
 

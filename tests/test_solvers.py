@@ -50,6 +50,8 @@ from support import (
     random_graph,
     random_instance,
     random_labels,
+    recursive_ordered_search,
+    recursive_tables,
     reference_enumerate_boundary_extensions,
     reference_oracle_tables,
     reference_ordered_eliminate,
@@ -148,6 +150,13 @@ class TestNodeBudget:
         for solve in (solve_auto, solve_oracle):
             out = solve(graph, labels)
             assert (out.fair, out.stats.nodes) == (fair, nodes)
+
+    def test_a_search_deeper_than_the_recursion_limit(self):
+        # 1200 labeled positions, one per vertex, in one loop
+        graph, labels = complete_bipartite(600, 600), S(*[1] * 1200)
+        for solve in (solve_auto, solve_oracle):
+            out = solve(graph, labels)
+            assert (out.fair, out.stats.nodes) == (True, 1198)
 
 
 class TestVcDelta:
@@ -952,7 +961,7 @@ class TestLinearForcing:
             tables = SearchTables((0, 1), ((), ()), (), ((), ()), ties=ties,
                                   maps=(None, (2, 1, ((0, 1),))))
             stats = SolveStats()
-            found = [tuple(values) for values, _ in ordered_search(tables, labels, stats, k)]
+            found = [tuple(values) for values in ordered_search(tables, labels, stats, k)]
             return found, stats.nodes
 
         # l_0 = 2 leaves 3/2, no integer; only the free position is a node
@@ -961,9 +970,6 @@ class TestLinearForcing:
         assert run(S(1, 2, 3), 5, ties=(None, (0, False))) == ([(1, 2)], 3)
         # and needs a copy left: l_0 = 3 leaves 0
         assert run(S(1, 1, 3), 3) == ([(1, 1)], 2)
-        # without K the maps are not used
-        found, nodes = run(S(1, 2, 3), None)
-        assert len(found) == 6 and nodes == 9
 
     def test_constants_are_enumerated_without_maps(self):
         graph = gen_circulant(10, 4)
@@ -1089,6 +1095,105 @@ class TestBoundaryForcing:
         assert seen.pop() == []
         list(special.enumerate_boundary_extensions(graph, [1, 2, 3, 4], labels, 4))
         assert any(seen.pop())
+
+
+# yields compared per search: enough to pass a fair labeling or many
+_STREAM_PREFIX = 64
+
+
+def _record_searches(patch, module) -> list:
+    """(tables, labels, k) of every search the module's solvers start."""
+    seen = []
+    real = module.ordered_search
+
+    def spy(tables, labels, stats, k):
+        seen.append((tables, labels, k))
+        return real(tables, labels, stats, k)
+
+    patch.setattr(module, "ordered_search", spy)
+    return seen
+
+
+def _assert_same_stream(tables, labels, k):
+    """The loop yields what the recursive kernel yields, in its order and
+    in the same nodes, over a prefix of the stream."""
+    ours, theirs = SolveStats(), SolveStats()
+    loop = ordered_search(tables, labels, ours, k)
+    recursive = recursive_ordered_search(recursive_tables(tables), labels, theirs, k)
+    got = [tuple(values) for values in itertools.islice(loop, _STREAM_PREFIX)]
+    want = [tuple(values) for values, _k in itertools.islice(recursive, _STREAM_PREFIX)]
+    assert got == want
+    assert ours.nodes == theirs.nodes
+
+
+class TestSearchLoop:
+    """The search loop yields the recursive kernel's stream, in its order
+    and nodes, on the enumerators' corpora."""
+
+    def test_oracle_tables_with_and_without_maps_and_ties(self, monkeypatch):
+        rng = random.Random(1013)
+        mapped = yielded = 0
+        for graph, labels in _forcing_instances(rng):
+            with monkeypatch.context() as patch:
+                seen = _record_searches(patch, solvers)
+                solve_oracle(graph, labels)
+            if not seen:
+                continue
+            tables, labels, k = seen[0]
+            mapped += any(tables.maps)
+            n, adjacency = graph.vertex_count, graph.adjacency
+            plain = SearchTables(tuple(range(n)), adjacency, graph.degrees, adjacency)
+            for each in (tables, solvers._oracle_tables(graph), reference_oracle_tables(graph),
+                         plain):
+                _assert_same_stream(each, labels, k)
+            yielded += next(ordered_search(plain, labels, SolveStats(), k), None) is not None
+        assert mapped >= 550 and yielded >= 400
+
+    def test_cover_tables_with_root_checks(self, monkeypatch):
+        rng = random.Random(1409)
+        rooted = 0
+        for graph, labels, k in _boundary_instances(rng)[::2]:
+            with monkeypatch.context() as patch:
+                seen = _record_searches(patch, solvers)
+                try:
+                    solve_vc_alpha(graph, labels, k)
+                except RefusalError:
+                    continue
+            for tables, labels, k in seen:
+                rooted += bool(tables.root_checks)
+                _assert_same_stream(tables, labels, k)
+        assert rooted >= 400
+
+    def test_boundary_tables_with_forest_forcing(self, monkeypatch):
+        # without pivot maps the only mapped positions are inner forest
+        # vertices, which the recursive kernel fixes by forcing steps
+        rng = random.Random(1409)
+        calls = []
+        for graph, labels, k in _boundary_instances(rng):
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    solvers, "enumerate_boundary_extensions",
+                    lambda *args, **kwargs: calls.append((args, kwargs)) or iter(()),
+                )
+                solve_fvs_alpha_delta(graph, labels, k)
+        forced = yielded = 0
+        for (graph, forest, labels, k), kwargs in calls:
+            fvs = kwargs["extra_boundary"]
+            for extra in (fvs, ()):
+                ours, theirs = SolveStats(), SolveStats()
+                loop = special.enumerate_boundary_extensions(
+                    graph, forest, labels, k, extra, ours, structure.Elimination((), {}),
+                )
+                recursive = reference_enumerate_boundary_extensions(
+                    graph, forest, labels, k, extra, theirs,
+                )
+                stream = list(itertools.islice(loop, _STREAM_PREFIX))
+                assert stream == list(itertools.islice(recursive, _STREAM_PREFIX))
+                assert ours.nodes == theirs.nodes
+            if special.ForestExtender(graph, forest).trees:
+                forced += 1
+                yielded += bool(stream)
+        assert forced >= 550 and yielded >= 400
 
 
 def _regular_instances(rng):
