@@ -722,8 +722,9 @@ class RecursiveSearchTables:
     root_checks: tuple[int, ...] = ()
 
 
-def recursive_ordered_search(tables: RecursiveSearchTables, labels: LabelMultiset, stats: SolveStats,
-                   k: int | None = None) -> Iterator[tuple[list[int], int | None]]:
+def recursive_ordered_search(tables: RecursiveSearchTables, labels: LabelMultiset,
+                             stats: SolveStats, k: int | None = None
+                             ) -> Iterator[tuple[list[int], int | None]]:
     """Yield (label per vertex id, K) for each labeling no checked equation breaks.
 
     Labelings come in lexicographic order of the labels along `order`.

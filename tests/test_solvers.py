@@ -1178,8 +1178,10 @@ class TestSearchLoop:
                 solve_fvs_alpha_delta(graph, labels, k)
         forced = yielded = 0
         for (graph, forest, labels, k), kwargs in calls:
-            fvs = kwargs["extra_boundary"]
-            for extra in (fvs, ()):
+            trees = bool(special.ForestExtender(graph, forest).trees)
+            forced += trees
+            # the fvs-alpha-delta domain, then the boundary alone
+            for extra in (kwargs["extra_boundary"], ()):
                 ours, theirs = SolveStats(), SolveStats()
                 loop = special.enumerate_boundary_extensions(
                     graph, forest, labels, k, extra, ours, structure.Elimination((), {}),
@@ -1190,10 +1192,8 @@ class TestSearchLoop:
                 stream = list(itertools.islice(loop, _STREAM_PREFIX))
                 assert stream == list(itertools.islice(recursive, _STREAM_PREFIX))
                 assert ours.nodes == theirs.nodes
-            if special.ForestExtender(graph, forest).trees:
-                forced += 1
-                yielded += bool(stream)
-        assert forced >= 550 and yielded >= 400
+                yielded += trees and bool(stream)
+        assert forced >= 550 and yielded >= 800
 
 
 def _regular_instances(rng):
