@@ -122,10 +122,10 @@ def run_algorithm(
     raise InputError(f"unknown algorithm {algo!r}")
 
 
-def _load(path: str) -> Instance:
+def _load(path: str | Path) -> Instance:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return read_instance(text)
 
@@ -253,7 +253,10 @@ def _generate(args) -> Instance:
 def cmd_generate(args) -> int:
     text = write_instance(_generate(args))
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
     else:
         print(text, end="")
     return EXIT_FAIR
@@ -276,7 +279,7 @@ def cmd_bench(args) -> int:
     print("file\talgo\tverdict\ttime_s\tnodes\tilp_calls")
     disagreement = False
     for path in files:
-        instance = read_instance(path.read_text(encoding="utf-8"))
+        instance = _load(path)
         pinned = args.k if args.k is not None else instance.k
         verdicts = set()
         for algo in algos:

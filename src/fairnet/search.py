@@ -101,6 +101,11 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
         rules.append((anchor, equal, linear, held[i]) if ruled else None)
     budget = ENUMERATION_CAP
     distinct = labels.distinct_values
+    if not distinct:
+        # no labels: only nothing to label and no equation is a labeling
+        if not size and not tables.root_checks:
+            yield [0] * len(feeds)
+        return
     low, high = distinct[0], distinct[-1]
     remaining = dict(labels.counts)  # a plain dict subscripts faster than a Counter
     value_of = [0] * len(feeds)

@@ -49,7 +49,12 @@ from .model import (
     require_constant,
 )
 from .search import ENUMERATION_CAP, SearchTables, ordered_search
-from .special import _solve_cycles, enumerate_boundary_extensions, solve_disjoint_stars
+from .special import (
+    _solve_cycles,
+    enumerate_boundary_extensions,
+    forest_plan,
+    solve_disjoint_stars,
+)
 from .structure import (
     Elimination,
     Shape,
@@ -439,7 +444,7 @@ def _non_star_part(
     fvs = minimum_feedback_vertex_set(part)
     in_fvs = set(fvs)
     forest = [v for v in range(part.vertex_count) if v not in in_fvs]
-    leaves = [v for v in forest if sum(1 for u in part.adjacency[v] if u not in in_fvs) <= 1]
+    leaves = forest_plan(part, forest)[1]  # and N(F), which the set holds
     return part, ids, fvs, forest, sorted(in_fvs.union(leaves))
 
 

@@ -16,12 +16,15 @@ condition with constant K:
   labels (the center's) and the others sum to K.
 * Inside an induced forest, once the labels of the forest's leaves and of its
   outside neighbors are fixed, every internal label is forced bottom-up: the
-  neighborhood equation of a child determines its parent.  The boundary
-  enumeration labels the boundary in a fixed order and checks as it goes:
-  each tree is forced, and each equation checked, at the position where its
-  last input is labeled, so it yields only extensions that satisfy every
-  equation they fully label, in the same order as filtering whole boundary
-  labelings would.
+  neighborhood equation of a child determines its parent.  One plan,
+  `forest_plan`, gives the boundary and roots each tree at an internal
+  vertex, so the parents are the internal vertices; `extend_forest` walks
+  it, and the planner reads its boundary.  The boundary enumeration labels
+  the boundary in a fixed order and checks as it goes: a tree's internal
+  vertices follow the last domain vertex adjacent to the tree, and each
+  equation is checked at the position where its last input is labeled, so
+  it yields only extensions that satisfy every equation they fully label,
+  in the same order as filtering whole boundary labelings would.
 * When the boundary and the forest cover the graph, every equation is
   checked, so every yielded labeling solves A l = K 1.  Eliminated with the
   forest's columns first and the boundary's from its last position to its
@@ -38,7 +41,6 @@ from typing import Iterable, Iterator, Mapping
 from .build import cycle_graph, star_graph
 from .ilp import Allocation, solve_feasible
 from .model import (
-    FairnetError,
     Graph,
     InputError,
     LabelMultiset,
@@ -51,8 +53,9 @@ from .search import SearchTables, ordered_search
 from .structure import Elimination, PivotMap, connected_components, eliminate
 
 PartialAssignment = dict[int, int]
-# an internal forest vertex and, per child w, the neighbors of w but the vertex
-ForcingStep = tuple[int, tuple[tuple[int, ...], ...]]
+# per tree of a forest, (vertex, parent) in breadth-first order from its
+# root, whose parent is -1
+Tree = tuple[tuple[int, int], ...]
 
 
 def solve_single_star(leaf_count: int, labels: LabelMultiset, k: int) -> SolveOutcome:
@@ -230,137 +233,45 @@ def solve_disjoint_stars(graph: Graph, labels: LabelMultiset, k: int) -> SolveOu
     return certified_outcome(graph, labels, assignment, k, stats)
 
 
-def _forced_value(entries: tuple[tuple[int, ...], ...],
-                  known: Mapping[int, int], k: int) -> int | None:
-    """The label every child's equation forces on its parent; None on conflict."""
-    forced = None
-    for others in entries:
-        value = k - sum(known[u] for u in others)
-        if forced is None:
-            forced = value
-        elif value != forced:
-            return None
-    return forced
+def forest_plan(
+    graph: Graph, forest_vertices: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int], list[Tree]]:
+    """The forest F, its boundary and its trees.
 
-
-class ForestExtender:
-    """Precomputed extension plan for an induced forest of a host graph.
-
-    The boundary of the forest F is N(F), the outside neighbors, together
-    with the leaves of F (degree <= 1 inside F).  Given labels on the
-    boundary and a constant K, all remaining internal labels are forced: in
-    each tree, processed away from a deepest level, the neighborhood equation
-    of any child w of an internal vertex v reads  label(v) = K - sum of the
-    labels of the other neighbors of w, all of which are known by then.
-    Conflicting forced values, a non-positive forced value, or a violated
-    equation of an all-boundary tree reports inconsistency (None).
+    The boundary is N(F), the outside neighbors, together with the leaves
+    of F (degree <= 1 inside F).  Each tree is walked breadth-first from its
+    lowest internal vertex, or from its lowest vertex when it has none (then
+    it is one or two leaves), so in a tree with an internal vertex the
+    parents are exactly the internal vertices.
     """
-
-    def __init__(self, graph: Graph, forest_vertices: Iterable[int]):
-        self.graph = graph
-        forest = frozenset(forest_vertices)
-        n = graph.vertex_count
-        for v in forest:
-            if not 0 <= v < n:
-                raise InputError(f"forest vertex {v} out of range")
-        inner_deg = {
-            v: sum(1 for u in graph.adjacency[v] if u in forest) for v in forest
-        }
-        self.forest = forest
-        self.leaves = frozenset(v for v in forest if inner_deg[v] <= 1)
-        self.outside_neighbors = frozenset(
-            u for v in forest for u in graph.adjacency[v] if u not in forest
-        )
-        self.boundary = self.leaves | self.outside_neighbors
-        self.internal = sorted(forest - self.leaves)
-
-        # per tree with an internal vertex, its forcing steps in processing
-        # order, the root last
-        self.trees: list[list[ForcingStep]] = []
-        # equations over boundary labels only (vertices of size <= 2 trees)
-        self.pre_checks: list[tuple[int, ...]] = []
-
-        seen: set[int] = set()
-        for root_candidate in sorted(forest):
-            if root_candidate in seen:
-                continue
-            tree = self._tree_of(root_candidate)
-            seen.update(tree)
-            internals = [v for v in tree if inner_deg[v] >= 2]
-            if not internals:
-                if len(tree) > 2:
-                    raise FairnetError("internal error: tree without internal vertex")
-                self.pre_checks.extend(tuple(graph.adjacency[v]) for v in sorted(tree))
-                continue
-            self.trees.append(self._plan_tree(min(internals), inner_deg))
-
-    def _tree_of(self, start: int) -> list[int]:
-        tree = [start]
-        seen = {start}
-        stack = [start]
-        edge_count = 0
-        while stack:
-            v = stack.pop()
-            for u in self.graph.adjacency[v]:
-                if u not in self.forest:
-                    continue
-                edge_count += 1
+    forest = frozenset(forest_vertices)
+    n = graph.vertex_count
+    for v in forest:
+        if not 0 <= v < n:
+            raise InputError(f"forest vertex {v} out of range")
+    inner = {v: [u for u in graph.adjacency[v] if u in forest] for v in forest}
+    leaves = {v for v, nbrs in inner.items() if len(nbrs) <= 1}
+    boundary = frozenset(leaves.union(
+        u for v in forest for u in graph.adjacency[v] if u not in forest
+    ))
+    seen: set[int] = set()
+    trees = []
+    # internal vertices first, so the first vertex seen of a tree is its root
+    for root in sorted(forest, key=lambda v: (v in leaves, v)):
+        if root in seen:
+            continue
+        seen.add(root)
+        tree = [(root, -1)]
+        for v, _ in tree:  # the loop reaches what it appends: breadth-first
+            for u in inner[v]:
                 if u not in seen:
                     seen.add(u)
-                    tree.append(u)
-                    stack.append(u)
-        if edge_count // 2 != len(tree) - 1:
-            raise InputError("designated vertices do not induce a forest")
-        return sorted(tree)
-
-    def _plan_tree(self, root: int, inner_deg: Mapping[int, int]) -> list[ForcingStep]:
-        parent = {root: -1}
-        levels = [[root]]
-        while levels[-1]:
-            nxt = []
-            for v in levels[-1]:
-                for u in self.graph.adjacency[v]:
-                    if u in self.forest and u not in parent:
-                        parent[u] = v
-                        nxt.append(u)
-            levels.append(nxt)
-        levels.pop()
-        children: dict[int, list[int]] = {v: [] for v in parent}
-        for v, p in parent.items():
-            if p >= 0:
-                children[p].append(v)
-        steps = []
-        for level in reversed(levels):
-            for v in sorted(level):
-                if inner_deg[v] < 2:
-                    continue
-                entries = tuple(
-                    tuple(u for u in self.graph.adjacency[w] if u != v)
-                    for w in sorted(children[v])
-                )
-                steps.append((v, entries))
-        return steps
-
-    def run(self, boundary_labels: Mapping[int, int], k: int) -> PartialAssignment | None:
-        """Force the interior labels; None on conflict.
-
-        Checks sibling agreement, positivity, and the equations of
-        all-boundary trees.  The equations of the tree roots are left to
-        callers: they are decidable only once all interior labels exist.
-        """
-        if set(boundary_labels) != self.boundary:
-            raise InputError("boundary labeling must cover exactly N(F) and the leaves of F")
-        result = dict(boundary_labels)
-        for nbrs in self.pre_checks:
-            if sum(result[u] for u in nbrs) != k:
-                return None
-        for steps in self.trees:
-            for v, entries in steps:
-                forced = _forced_value(entries, result, k)
-                if forced is None or forced < 1:
-                    return None
-                result[v] = forced
-        return result
+                    tree.append((u, v))
+        trees.append(tuple(tree))
+    # each tree has one edge fewer than vertices
+    if sum(map(len, inner.values())) != 2 * (len(forest) - len(trees)):
+        raise InputError("designated vertices do not induce a forest")
+    return forest, boundary, trees
 
 
 def extend_forest(graph: Graph, forest_vertices: Iterable[int],
@@ -371,9 +282,35 @@ def extend_forest(graph: Graph, forest_vertices: Iterable[int],
     values conflict, drop to zero or below, or an all-boundary tree violates
     its own neighborhood equations.  The boundary must cover exactly N(F)
     plus the leaves of F.
+
+    Each tree of `forest_plan` is walked from its deepest vertex up.  By the
+    time a non-root vertex is reached, all its neighbors but its parent are
+    labeled, so its equation forces the parent's label: K minus their sum.
+    A parent a sibling has already forced, or a root that is a leaf, must
+    agree.  A tree without an internal vertex also checks its root's
+    equation; the equation of any other root is left to callers, since it
+    is decidable only once all interior labels exist.
     """
     require_constant(k)
-    return ForestExtender(graph, forest_vertices).run(boundary_labels, k)
+    _forest, boundary, trees = forest_plan(graph, forest_vertices)
+    if set(boundary_labels) != boundary:
+        raise InputError("boundary labeling must cover exactly N(F) and the leaves of F")
+    adjacency = graph.adjacency
+    result = dict(boundary_labels)
+    for tree in trees:
+        root = tree[0][0]
+        if root in boundary and sum(result[u] for u in adjacency[root]) != k:
+            return None
+        for v, parent in reversed(tree[1:]):
+            value = k - sum(result[u] for u in adjacency[v] if u != parent)
+            if parent in result:
+                if result[parent] != value:
+                    return None
+            elif value < 1:
+                return None
+            else:
+                result[parent] = value
+    return result
 
 
 def enumerate_boundary_extensions(
@@ -397,28 +334,28 @@ def enumerate_boundary_extensions(
     sees exactly K.  Restrictions of genuine fair labelings always survive.
 
     Every check runs as soon as its inputs are labeled: a tree's inner
-    vertices follow the last domain vertex its forcing steps or its root
-    equation read, each mapped to the label its first child's equation
-    forces (the other children's equations, then fully labeled, check that
-    they agree), and an equation is checked exactly once its last neighbor
-    is labeled, and against the min/max completion of its pending neighbors
-    before that.  When the domain and the forest cover the graph, each
-    domain pivot of A l = K 1 (`structure.eliminate` in the domain's order,
-    or `elimination` when the caller has made that one) takes the one
-    value its map gives.  `stats.nodes` counts each tried (domain vertex,
-    value) pair with a copy left at the free positions.
+    vertices follow the last domain vertex adjacent to the tree, each
+    mapped to the label one child's equation forces (the other children's
+    equations, then fully labeled, check that they agree), and an equation
+    is checked exactly once its last neighbor is labeled, and against the
+    min/max completion of its pending neighbors before that.  When the
+    domain and the forest cover the graph, each domain pivot of A l = K 1
+    (`structure.eliminate` in the domain's order, or `elimination` when the
+    caller has made that one) takes the one value its map gives.
+    `stats.nodes` counts each tried (domain vertex, value) pair with a copy
+    left at the free positions.
     """
     require_constant(k)
-    extender = ForestExtender(graph, forest_vertices)
-    domain = sorted(extender.boundary | set(extra_boundary))
-    interior = set(extender.internal)
+    forest, boundary, trees = forest_plan(graph, forest_vertices)
+    domain = sorted(boundary | set(extra_boundary))
+    interior = forest - boundary
     for v in domain:
         if not 0 <= v < graph.vertex_count:
             raise InputError(f"boundary vertex {v} out of range")
         if v in interior:
             raise InputError(f"boundary vertex {v} is interior to the forest")
     adjacency = graph.adjacency
-    known = set(domain) | extender.forest
+    known = set(domain) | forest
     checked = {u for u in range(graph.vertex_count) if known.issuperset(adjacency[u])}
     # per labeled vertex, the checked equations its label enters
     feeds = [
@@ -426,25 +363,29 @@ def enumerate_boundary_extensions(
         for v in range(graph.vertex_count)
     ]
     pos = {v: i for i, v in enumerate(domain)}
-    # per domain position, the steps of the trees whose last read it labels
-    forced_after: list[list[ForcingStep]] = [[] for _ in domain]
-    for steps in extender.trees:
-        reads = {u for _, entries in steps for others in entries for u in others}
-        reads.update(adjacency[steps[-1][0]])
-        forced_after[max(pos[u] for u in reads if u in pos)].extend(steps)
+    # per domain position, the trees with an inner vertex whose last
+    # adjacent domain vertex it labels
+    inner_after: list[list[Tree]] = [[] for _ in domain]
+    for tree in trees:
+        if tree[0][0] not in boundary:
+            last = max(pos[u] for v, _ in tree for u in adjacency[v] if u in pos)
+            inner_after[last].append(tree)
     pivots: Mapping[int, PivotMap] = {}
     if len(known) == graph.vertex_count:
         # every equation is checked, so each map holds on all that is yielded
         pivots = (elimination or eliminate(graph, domain)).pivots
     order: list[int] = []
     maps: list[PivotMap | None] = []
-    for v, steps in zip(domain, forced_after):
+    for v, placed in zip(domain, inner_after):
         order.append(v)
         maps.append(pivots.get(v))
-        for w, entries in steps:
-            # the first child's equation forces w; the others' are checked at w
-            order.append(w)
-            maps.append((1, 1, tuple((u, 1) for u in entries[0])))
+        for tree in placed:
+            # the inner vertices are the parents, deepest first; one child's
+            # equation forces each, and the others' are checked at it
+            child = {parent: u for u, parent in tree[1:]}
+            for w in reversed(child):
+                order.append(w)
+                maps.append((1, 1, tuple((u, 1) for u in adjacency[child[w]] if u != w)))
     tables = SearchTables(
         tuple(order),
         feeds,

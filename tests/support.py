@@ -26,7 +26,6 @@ from fairnet import (
     complete_bipartite,
     cycle_graph,
     disjoint_union,
-    extend_forest,
     star_graph,
     verify,
 )
@@ -48,10 +47,7 @@ from fairnet.solvers import (
     solve_oracle,
 )
 from fairnet.special import (
-    ForcingStep,
-    ForestExtender,
     PartialAssignment,
-    _forced_value,
     _solve_cycles,
     star_decomposition,
 )
@@ -146,6 +142,164 @@ def gauss_jordan_weights(graph: Graph) -> list[tuple[tuple[int, ...], Fraction |
     return weights
 
 
+# The forest extension as it was before one forest plan served it, the
+# boundary enumeration and the planner, copied verbatim (only renamed):
+# the hand-written forcing by steps.  `extend_forest` must give what it
+# gives, None and input errors included, and the brute-force boundary
+# stream and the recursive boundary enumeration below run on it, so they
+# share nothing with the plan they check.
+
+# an internal forest vertex and, per child w, the neighbors of w but the vertex
+ForcingStep = tuple[int, tuple[tuple[int, ...], ...]]
+
+
+def _forced_value(entries: tuple[tuple[int, ...], ...],
+                  known: Mapping[int, int], k: int) -> int | None:
+    """The label every child's equation forces on its parent; None on conflict."""
+    forced = None
+    for others in entries:
+        value = k - sum(known[u] for u in others)
+        if forced is None:
+            forced = value
+        elif value != forced:
+            return None
+    return forced
+
+
+class ForestExtender:
+    """Precomputed extension plan for an induced forest of a host graph.
+
+    The boundary of the forest F is N(F), the outside neighbors, together
+    with the leaves of F (degree <= 1 inside F).  Given labels on the
+    boundary and a constant K, all remaining internal labels are forced: in
+    each tree, processed away from a deepest level, the neighborhood equation
+    of any child w of an internal vertex v reads  label(v) = K - sum of the
+    labels of the other neighbors of w, all of which are known by then.
+    Conflicting forced values, a non-positive forced value, or a violated
+    equation of an all-boundary tree reports inconsistency (None).
+    """
+
+    def __init__(self, graph: Graph, forest_vertices: Iterable[int]):
+        self.graph = graph
+        forest = frozenset(forest_vertices)
+        n = graph.vertex_count
+        for v in forest:
+            if not 0 <= v < n:
+                raise InputError(f"forest vertex {v} out of range")
+        inner_deg = {
+            v: sum(1 for u in graph.adjacency[v] if u in forest) for v in forest
+        }
+        self.forest = forest
+        self.leaves = frozenset(v for v in forest if inner_deg[v] <= 1)
+        self.outside_neighbors = frozenset(
+            u for v in forest for u in graph.adjacency[v] if u not in forest
+        )
+        self.boundary = self.leaves | self.outside_neighbors
+        self.internal = sorted(forest - self.leaves)
+
+        # per tree with an internal vertex, its forcing steps in processing
+        # order, the root last
+        self.trees: list[list[ForcingStep]] = []
+        # equations over boundary labels only (vertices of size <= 2 trees)
+        self.pre_checks: list[tuple[int, ...]] = []
+
+        seen: set[int] = set()
+        for root_candidate in sorted(forest):
+            if root_candidate in seen:
+                continue
+            tree = self._tree_of(root_candidate)
+            seen.update(tree)
+            internals = [v for v in tree if inner_deg[v] >= 2]
+            if not internals:
+                if len(tree) > 2:
+                    raise FairnetError("internal error: tree without internal vertex")
+                self.pre_checks.extend(tuple(graph.adjacency[v]) for v in sorted(tree))
+                continue
+            self.trees.append(self._plan_tree(min(internals), inner_deg))
+
+    def _tree_of(self, start: int) -> list[int]:
+        tree = [start]
+        seen = {start}
+        stack = [start]
+        edge_count = 0
+        while stack:
+            v = stack.pop()
+            for u in self.graph.adjacency[v]:
+                if u not in self.forest:
+                    continue
+                edge_count += 1
+                if u not in seen:
+                    seen.add(u)
+                    tree.append(u)
+                    stack.append(u)
+        if edge_count // 2 != len(tree) - 1:
+            raise InputError("designated vertices do not induce a forest")
+        return sorted(tree)
+
+    def _plan_tree(self, root: int, inner_deg: Mapping[int, int]) -> list[ForcingStep]:
+        parent = {root: -1}
+        levels = [[root]]
+        while levels[-1]:
+            nxt = []
+            for v in levels[-1]:
+                for u in self.graph.adjacency[v]:
+                    if u in self.forest and u not in parent:
+                        parent[u] = v
+                        nxt.append(u)
+            levels.append(nxt)
+        levels.pop()
+        children: dict[int, list[int]] = {v: [] for v in parent}
+        for v, p in parent.items():
+            if p >= 0:
+                children[p].append(v)
+        steps = []
+        for level in reversed(levels):
+            for v in sorted(level):
+                if inner_deg[v] < 2:
+                    continue
+                entries = tuple(
+                    tuple(u for u in self.graph.adjacency[w] if u != v)
+                    for w in sorted(children[v])
+                )
+                steps.append((v, entries))
+        return steps
+
+    def run(self, boundary_labels: Mapping[int, int], k: int) -> PartialAssignment | None:
+        """Force the interior labels; None on conflict.
+
+        Checks sibling agreement, positivity, and the equations of
+        all-boundary trees.  The equations of the tree roots are left to
+        callers: they are decidable only once all interior labels exist.
+        """
+        if set(boundary_labels) != self.boundary:
+            raise InputError("boundary labeling must cover exactly N(F) and the leaves of F")
+        result = dict(boundary_labels)
+        for nbrs in self.pre_checks:
+            if sum(result[u] for u in nbrs) != k:
+                return None
+        for steps in self.trees:
+            for v, entries in steps:
+                forced = _forced_value(entries, result, k)
+                if forced is None or forced < 1:
+                    return None
+                result[v] = forced
+        return result
+
+
+def reference_extend_forest(
+    graph: Graph, forest_vertices: Iterable[int], boundary_labels: Mapping[int, int], k: int
+) -> PartialAssignment | None:
+    """Force the internal labels of an induced forest from its boundary.
+
+    Returns the combined assignment on N(F) and F, or None when the forced
+    values conflict, drop to zero or below, or an all-boundary tree violates
+    its own neighborhood equations.  The boundary must cover exactly N(F)
+    plus the leaves of F.
+    """
+    require_constant(k)
+    return ForestExtender(graph, forest_vertices).run(boundary_labels, k)
+
+
 def brute_boundary_extensions(
     graph: Graph, forest, labels: LabelMultiset, k: int, extra_boundary=()
 ) -> list[dict[int, int]]:
@@ -153,9 +307,9 @@ def brute_boundary_extensions(
 
     Every function from the domain (forest leaves, outside neighbors of the
     forest, extra vertices) into the distinct values, in lexicographic
-    order, is extended by extend_forest; an extension is kept when its labels
-    fit inside the multiset and every vertex whose whole neighborhood it
-    labels sees exactly k.
+    order, is extended by reference_extend_forest; an extension is kept
+    when its labels fit inside the multiset and every vertex whose whole
+    neighborhood it labels sees exactly k.
     """
     forest = frozenset(forest)
     leaves = {
@@ -167,7 +321,7 @@ def brute_boundary_extensions(
     kept = []
     for values in itertools.product(labels.distinct_values, repeat=len(domain)):
         chosen = dict(zip(domain, values))
-        extended = extend_forest(graph, forest, {v: chosen[v] for v in boundary}, k)
+        extended = reference_extend_forest(graph, forest, {v: chosen[v] for v in boundary}, k)
         if extended is None:
             continue
         merged = {**chosen, **extended}

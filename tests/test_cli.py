@@ -440,6 +440,27 @@ class TestBench:
         capsys.readouterr()
 
 
+class TestFileErrors:
+    """Unreadable input and unwritable output are input errors (exit 3),
+    never the unfair verdict's exit 1."""
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "verify", "bench"])
+    def test_input_that_is_not_utf8(self, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "bad.fn").write_bytes(b"\xff\xfe")
+        target = corpus if command == "bench" else corpus / "bad.fn"
+        assert main([command, str(target)]) == 3
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_output_into_a_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "inst"
+        args = ["generate", "circulant", "--n", "8", "--r", "2", "--out", str(target)]
+        assert main(args) == 3
+        assert "cannot write" in capsys.readouterr().err
+        assert not target.parent.exists()
+
+
 class TestRunAlgorithm:
     @pytest.mark.parametrize(
         "algo, name",

@@ -41,6 +41,7 @@ from fairnet.model import SolveStats
 from fairnet.search import SearchTables, ordered_search
 from fairnet.solvers import _candidates, _forced_constant
 from support import (
+    ForestExtender,
     brute_force_fair,
     constructed_fair,
     gauss_jordan_weights,
@@ -1178,7 +1179,7 @@ class TestSearchLoop:
                 solve_fvs_alpha_delta(graph, labels, k)
         forced = yielded = 0
         for (graph, forest, labels, k), kwargs in calls:
-            trees = bool(special.ForestExtender(graph, forest).trees)
+            trees = bool(ForestExtender(graph, forest).trees)
             forced += trees
             # the fvs-alpha-delta domain, then the boundary alone
             for extra in (kwargs["extra_boundary"], ()):

@@ -30,6 +30,7 @@ from support import (
     random_graph,
     random_induced_forest,
     random_labels,
+    reference_extend_forest,
     reference_solve_disjoint_stars,
     reference_solve_single_star,
 )
@@ -275,6 +276,67 @@ class TestForestExtension:
         with pytest.raises(InputError):
             extend_forest(cycle_graph(3), [0, 1, 2], {}, 4)
 
+    def test_same_as_the_forcing_steps(self):
+        # the walk over the plan's trees against the hand-written forcing
+        # steps it replaced: the same extension, None or input error
+        rng = random.Random(2207)
+        outcomes = Counter()
+        errors = set()
+        for case in range(3000):
+            if case % 3:
+                n = rng.randint(2, 11)
+                g = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5)))
+                full = [rng.randint(1, 4) for _ in range(n)]
+                k = 0
+            else:
+                # a fair labeling extends from any forest's boundary
+                g, _labels, full, k = constructed_fair(rng, max_n=11)
+                n = g.vertex_count
+            forest = random_induced_forest(rng, g)
+            if case % 2:
+                # any subset of an induced forest induces a forest
+                forest = rng.sample(forest, rng.randint(0, len(forest)))
+            inside = set(forest)
+            boundary = {
+                u for v in forest for u in g.neighbors(v)
+                if u not in inside or sum(w in inside for w in g.neighbors(u)) <= 1
+            }
+            boundary.update(v for v in forest if not g.neighbors(v))
+            labels = {u: full[u] for u in boundary}
+            if not k and forest:
+                # a constant some forest vertex sees
+                k = sum(full[u] for u in g.neighbors(rng.choice(forest)))
+            k = k or rng.randint(1, 8)
+            mutation = case % 10
+            if mutation == 0:
+                forest = forest + rng.sample((-1, n, n + 3), rng.randint(1, 3))
+            elif mutation in (1, 6):
+                # closes a cycle when the forest was maximal (even cases)
+                forest = forest + [rng.randrange(n)]
+            elif mutation == 2 and labels:
+                del labels[rng.choice(sorted(labels))]
+            elif mutation == 4:
+                labels[rng.randrange(n)] = rng.randint(1, 4)
+            elif mutation == 5 and labels:
+                labels[rng.choice(sorted(labels))] += rng.choice((-1, 1))
+            got = []
+            for extend in (extend_forest, reference_extend_forest):
+                try:
+                    got.append(extend(g, forest, labels, k))
+                except InputError as exc:
+                    got.append(str(exc))
+            assert got[0] == got[1], (g.adjacency, forest, labels, k)
+            if isinstance(got[1], str):
+                errors.add(got[1])
+            forced = isinstance(got[1], dict) and len(got[1]) > len(labels)
+            outcomes[type(got[1]).__name__, forced] += 1
+        # extensions that force labels, ones that keep the boundary, None
+        # results, and input errors
+        assert outcomes["dict", True] >= 300 and outcomes["dict", False] >= 200
+        assert outcomes["NoneType", False] >= 600
+        assert outcomes["str", False] >= 400
+        assert {message.split()[0] for message in errors} == {"boundary", "designated", "forest"}
+
     def test_enumeration_superset_of_fair(self):
         rng = random.Random(29)
         for _ in range(40):
@@ -361,6 +423,14 @@ class TestBoundaryEnumeration:
         # every tried pair with a copy left at a free position: 4 + 4*3;
         # vertex 2's equation maps vertex 3 to K - l_1, which is no node
         assert stats.nodes == 16
+
+    def test_empty_multiset(self):
+        # nothing to label and no equation: the one empty labeling; a
+        # domain to label without labels: nothing, and no IndexError
+        assert list(enumerate_boundary_extensions(Graph(()), [], S(), 3)) == [{}]
+        assert list(enumerate_boundary_extensions(path_graph(3), [0, 1, 2], S(), 3)) == []
+        # an isolated vertex's equation sees 0, never K
+        assert list(enumerate_boundary_extensions(Graph(((),)), [], S(), 3)) == []
 
     def test_rejects_interior_extra_vertex(self):
         with pytest.raises(InputError):
