@@ -277,9 +277,17 @@ def cmd_bench(args) -> int:
         raise InputError("algos: need at least one algorithm")
 
     print("file\talgo\tverdict\ttime_s\tnodes\tilp_calls")
-    disagreement = False
+    disagreement = unreadable = False
     for path in files:
-        instance = _load(path)
+        try:
+            instance = _load(path)
+        except InputError as exc:
+            # the rows a strategy's input error gets; the run goes on, exit 3
+            print(f"error: {path.name}: {exc}", file=sys.stderr)
+            for algo in algos:
+                print(f"{path.name}\t{algo}\terror\t0.000000\t-\t-")
+            unreadable = True
+            continue
         pinned = args.k if args.k is not None else instance.k
         verdicts = set()
         for algo in algos:
@@ -304,8 +312,9 @@ def cmd_bench(args) -> int:
             disagreement = True
     if disagreement:
         print("verdict disagreement detected", file=sys.stderr)
-        return EXIT_DISAGREE
-    return EXIT_FAIR
+    if unreadable:
+        return EXIT_INPUT
+    return EXIT_DISAGREE if disagreement else EXIT_FAIR
 
 
 def build_parser() -> argparse.ArgumentParser:

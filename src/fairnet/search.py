@@ -17,12 +17,16 @@ enumeration, and there also each inner forest vertex, which its first
 child's equation forces.  A mapped position tries its one value and is not
 counted as a node, so only the free positions are searched.
 
-An equation is "the labels fed into it, plus `pending` labels still to
-come, sum to K".  K must lie between its completions by the smallest and by
-the largest value, which is exact once nothing is pending.  The search is
-one loop over a list of per-position value iterators, so its depth meets no
-recursion limit.  Every search shares one node budget, `ENUMERATION_CAP`:
-past it the search refuses instead of running on.
+An equation is "the labels fed into it, plus the labels still to come,
+sum to K".  K must lie between its completions by the smallest and by the
+largest value, which is exact once nothing is left to come.  Every branch
+labels the same positions in the same order, so how many labels an
+equation still waits for after a position is fixed by the order alone:
+each check is built once per search as a window, the floor and ceiling its
+partial sum must lie between, and a node only adds its label and compares.
+The search is one loop over a list of per-position value iterators, so its
+depth meets no recursion limit.  Every search shares one node budget,
+`ENUMERATION_CAP`: past it the search refuses instead of running on.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ class SearchTables:
     order: the vertices labeled, position by position.
     feeds: per vertex id, the equations its label enters.
     pending: per equation, the labels it waits for before the search starts.
+        Less the labels fed to it up to a position, this is what it still
+        waits for there on every branch, since the order is fixed; the
+        search turns each check into a window on the partial sum once.
     checks_at: per position, the equations checked once it is labeled.
     ties: per position, None or (earlier vertex, equal): the label must
         equal that vertex's label, or must not fall below it (a floor).
@@ -81,11 +88,21 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
     """
     order, feeds = tables.order, tables.feeds
     size = len(order)
+    distinct = labels.distinct_values
+    if not distinct:
+        # no labels: only nothing to label and no equation is a labeling
+        if not size and not tables.root_checks:
+            yield [0] * len(feeds)
+        return
+    low, high = distinct[0], distinct[-1]
     ties = tables.ties or [None] * size
     held = tables.held or [0] * size
     maps = tables.maps or [None] * size
+    # per equation, the labels it still waits for after the position at hand
+    left = list(tables.pending)
     # per position, read once per node: the vertex, the equations its label
-    # enters, its checks, and 0 for a mapped position (no node) else 1
+    # enters, its checks as (equation, floor, ceiling) windows on the
+    # equation's partial sum, and 0 for a mapped position (no node) else 1
     slots = []
     # per position, None when it tries every value, else its tie vertex or
     # None, equal, its map with c K folded in or None, and its held count
@@ -96,21 +113,16 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
             scale, weight, terms = linear
             linear = (scale, weight * k, terms)
         anchor, equal = tie or (None, False)
-        slots.append((v, feeds[v], tables.checks_at[i], int(linear is None)))
+        for u in feeds[v]:
+            left[u] -= 1
+        windows = tuple((u, k - left[u] * high, k - left[u] * low) for u in tables.checks_at[i])
+        slots.append((v, feeds[v], windows, int(linear is None)))
         ruled = tie is not None or linear is not None or held[i]
         rules.append((anchor, equal, linear, held[i]) if ruled else None)
     budget = ENUMERATION_CAP
-    distinct = labels.distinct_values
-    if not distinct:
-        # no labels: only nothing to label and no equation is a labeling
-        if not size and not tables.root_checks:
-            yield [0] * len(feeds)
-        return
-    low, high = distinct[0], distinct[-1]
     remaining = dict(labels.counts)  # a plain dict subscripts faster than a Counter
     value_of = [0] * len(feeds)
     partial = [0] * len(tables.pending)
-    pending = list(tables.pending)
 
     def options(i: int) -> Sequence[int]:
         """The values position i may try, given the labels before it."""
@@ -145,7 +157,8 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
         return values
 
     # an equation nothing feeds sees 0 plus its pending labels
-    if not all(pending[u] * low <= k <= pending[u] * high for u in tables.root_checks):
+    if not all(tables.pending[u] * low <= k <= tables.pending[u] * high
+               for u in tables.root_checks):
         return
     if not size:
         yield value_of
@@ -169,10 +182,8 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
             value_of[v] = value
             for u in fed:
                 partial[u] += value
-                pending[u] -= 1
-            for u in checks:
-                total, left = partial[u], pending[u]
-                if not total + left * low <= k <= total + left * high:
+            for u, floor, ceiling in checks:
+                if not floor <= partial[u] <= ceiling:
                     break
             else:
                 if i == last:
@@ -188,7 +199,6 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
             remaining[value] += 1
             for u in fed:
                 partial[u] -= value
-                pending[u] += 1
         else:
             # exhausted: the position before takes its label back, moves on
             if not i:
@@ -200,4 +210,3 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
             remaining[value] += 1
             for u in fed:
                 partial[u] -= value
-                pending[u] += 1

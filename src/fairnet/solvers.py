@@ -258,6 +258,8 @@ def solve_fvs_alpha_delta(
     """
     _require_instance(graph, labels, k)
     stats = SolveStats(strategy=StrategyTag.FVS_ALPHA_DELTA.value)
+    if not graph.vertex_count:
+        return _vacuous_outcome(labels, stats)
     report = classify(graph)
     rest = _non_star_vertices(report)
     elimination = weights = None
@@ -348,8 +350,10 @@ def solve_vc_alpha(
     one, is decided.
     """
     _require_instance(graph, labels, k)
-    constants = [k] if k is not None else _candidates(graph, labels)[0]
     stats = SolveStats(strategy=StrategyTag.VC_ALPHA.value)
+    if not graph.vertex_count:
+        return _vacuous_outcome(labels, stats)
+    constants = [k] if k is not None else _candidates(graph, labels)[0]
     if not constants:
         return SolveOutcome.make_unfair(stats)
     cover = minimum_vertex_cover(graph)
@@ -549,12 +553,13 @@ def _candidates(graph: Graph, labels: LabelMultiset, k: int | None = None,
 
 def _require_instance(graph: Graph, labels: LabelMultiset, k: int | None) -> None:
     """The input checks of a per-constant strategy, which decides k itself,
-    or else the forced constant when it is a candidate."""
+    or else the forced constant when it is a candidate.  The graph with no
+    vertices passes: it is vacuously fair, as under every strategy."""
     if k is not None:
         require_constant(k)
     if len(labels) != graph.vertex_count:
         raise InputError("label multiset size does not match the vertex count")
-    if graph.vertex_count == 0 or graph.min_degree() == 0:
+    if graph.vertex_count and graph.min_degree() == 0:
         raise InputError("solver requires a graph without isolated vertices")
 
 

@@ -94,6 +94,16 @@ class TestSolve:
         assert main(["solve", path, "--k", "0"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "algo", ["auto", "oracle", "fvs-alpha-delta", "vc-alpha", "vc-delta"]
+    )
+    def test_graph_with_no_vertices_is_fair(self, tmp_path, capsys, algo):
+        path = put(tmp_path, "empty", "fairnet v1\nvertices 0\n")
+        assert main(["solve", path, "--algo", algo]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == ["verdict fair", "k none", "cert"]
+        assert f"strategy {algo}" in out
+
     def test_k_directive_in_file_is_used(self, tmp_path):
         assert main(["solve", put(tmp_path, "c4", C4_TEXT + "k 6\n")]) == 1
         # an explicit flag overrides the stored target
@@ -425,6 +435,24 @@ class TestBench:
         rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()[1:]]
         assert [row[:3] for row in rows] == [["a.fn", "auto", "refused"], ["b.fn", "auto", "unfair"]]
         assert rows[0][4:] == ["-", "-"]
+
+    def test_unreadable_file_is_rows_and_the_run_goes_on(self, tmp_path, capsys):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        for name, n in (("a", 8), ("c", 10)):
+            assert main(["generate", "circulant", "--n", str(n), "--r", "4",
+                         "--out", str(d / name)]) == 0
+        (d / "b").write_text("fairnet v9\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["bench", str(d), "--algos", "auto,oracle"]) == 3
+        captured = capsys.readouterr()
+        rows = [row.split("\t") for row in captured.out.splitlines()[1:]]
+        assert [row[:2] for row in rows] == [
+            [name, algo] for name in "abc" for algo in ("auto", "oracle")
+        ]
+        assert [row[2:] for row in rows[2:4]] == [["error", "0.000000", "-", "-"]] * 2
+        assert all(row[2] in ("fair", "unfair") for row in rows[:2] + rows[4:])
+        assert "error: b: line 1: expected header 'fairnet v1'" in captured.err
 
     def test_empty_corpus(self, tmp_path, capsys):
         d = tmp_path / "empty"

@@ -345,6 +345,16 @@ class TestVcAlpha:
             checked += 1
 
 
+@pytest.mark.parametrize(
+    "solver", [solve_auto, solve_oracle, solve_vc_delta, solve_vc_alpha, solve_fvs_alpha_delta]
+)
+@pytest.mark.parametrize("k", [None, 3])
+def test_graph_with_no_vertices_is_vacuously_fair(solver, k):
+    out = solver(Graph(()), S(), k)
+    assert out.fair and out.certificate.labels == () and out.certificate.constant is None
+    assert out.stats.nodes == 0
+
+
 class TestRegularFvs:
     def test_matching_all_equal(self):
         g = disjoint_union(path_graph(2), path_graph(2))
@@ -1127,9 +1137,82 @@ def _assert_same_stream(tables, labels, k):
     assert ours.nodes == theirs.nodes
 
 
+def _synthetic_tables(rng):
+    """Seeded random tables no enumerator builds, and a multiset for them.
+
+    A random order over a random subset of ids with random feeds; each
+    equation checked at random positions at or after its first input (or
+    at the root when nothing labeled feeds it) and waiting for up to two
+    labels past its labeled inputs; floor and equal ties with the `held`
+    counts they imply; now and then a linear map over earlier vertices.
+    """
+    ids = rng.randint(1, 8)
+    order = tuple(rng.sample(range(ids), rng.randint(0, ids)))
+    position = {v: i for i, v in enumerate(order)}
+    equations = rng.randint(1, 5)
+    feeds = [sorted(rng.sample(range(equations), rng.randint(0, min(3, equations))))
+             for _ in range(ids)]
+    inputs = [[position[v] for v in order if u in feeds[v]] for u in range(equations)]
+    pending = [len(fed) + rng.choice((0, 0, 1, 2)) for fed in inputs]
+    checks_at = [[] for _ in order]
+    root_checks = []
+    for u, fed in enumerate(inputs):
+        if not fed:
+            if rng.random() < 0.7:
+                root_checks.append(u)
+            continue
+        for i in range(min(fed), len(order)):
+            if rng.random() < 0.5 or i == max(fed) and rng.random() < 0.5:
+                checks_at[i].append(u)
+    ties = [None] * len(order)
+    maps = [None] * len(order)
+    for i in range(1, len(order)):
+        if rng.random() < 0.35:
+            ties[i] = (order[rng.randrange(i)], rng.random() < 0.4)
+        if rng.random() < 0.15:
+            earlier = rng.sample(order[:i], rng.randint(1, min(i, 2)))
+            maps[i] = (rng.choice((1, 2)), rng.choice((0, 1)),
+                       tuple((v, rng.choice((-1, 1))) for v in earlier))
+    held = [0] * len(order)
+    for tie in ties:
+        while tie is not None:
+            held[position[tie[0]]] += 1
+            tie = ties[position[tie[0]]]
+    pool = rng.sample(range(1, 7), rng.randint(1, 3))
+    labels = S(*(rng.choice(pool) for _ in range(max(1, len(order)) + rng.randint(0, 2))))
+    tables = SearchTables(order, feeds, pending, checks_at, ties=ties, held=held,
+                          maps=maps, root_checks=tuple(root_checks))
+    return tables, labels
+
+
 class TestSearchLoop:
     """The search loop yields the recursive kernel's stream, in its order
     and nodes, on the enumerators' corpora."""
+
+    def test_synthetic_tables(self):
+        # K runs from below every equation's completions to above them all
+        rng = random.Random(2311)
+        early = padded = rooted = floors = equals = mapped = yielded = 0
+        for _ in range(1000):
+            tables, labels = _synthetic_tables(rng)
+            order, feeds = tables.order, tables.feeds
+            early += any(
+                u in feeds[v] for i, checks in enumerate(tables.checks_at)
+                for u in checks for v in order[i + 1:]
+            )
+            padded += any(
+                left > sum(u in feeds[v] for v in order) for u, left in enumerate(tables.pending)
+            )
+            rooted += bool(tables.root_checks)
+            floors += any(tie is not None and not tie[1] for tie in tables.ties)
+            equals += any(tie is not None and tie[1] for tie in tables.ties)
+            mapped += any(tables.maps)
+            low, high = min(labels.distinct_values), max(labels.distinct_values)
+            for k in range(min(tables.pending) * low - 1, max(tables.pending) * high + 2):
+                _assert_same_stream(tables, labels, k)
+                yielded += next(ordered_search(tables, labels, SolveStats(), k), None) is not None
+        assert early >= 250 and padded >= 700 and rooted >= 450
+        assert floors >= 200 and equals >= 150 and mapped >= 150 and yielded >= 1000
 
     def test_oracle_tables_with_and_without_maps_and_ties(self, monkeypatch):
         rng = random.Random(1013)
