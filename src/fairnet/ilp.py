@@ -32,7 +32,8 @@ class IntVar:
     upper: int
 
     def __post_init__(self):
-        if not isinstance(self.lower, int) or not isinstance(self.upper, int):
+        if any(not isinstance(bound, int) or isinstance(bound, bool)
+               for bound in (self.lower, self.upper)):
             raise InputError(f"bounds of {self.name} must be integers")
         if self.upper < self.lower:
             raise InputError(f"empty bound interval for {self.name}")

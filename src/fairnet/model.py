@@ -179,7 +179,7 @@ class LabelMultiset:
         ordered = tuple(sorted(self.values))
         object.__setattr__(self, "values", ordered)
         for x in ordered:
-            if not isinstance(x, int) or x < 1:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise InputError(f"label {x!r} is not a positive integer")
         if sum(ordered) >= LABEL_SUM_LIMIT:
             raise InputError("label total exceeds the 64-bit safety bound")
@@ -243,7 +243,7 @@ class FairnessCertificate:
     constant: int | None
 
     def __post_init__(self):
-        if self.constant is not None and self.constant < 1:
+        if self.constant is not None and (isinstance(self.constant, bool) or self.constant < 1):
             raise InputError("fairness constant must be a positive integer")
 
     def check(self, graph: Graph, labels: "LabelMultiset") -> bool:

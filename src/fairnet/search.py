@@ -5,17 +5,19 @@ enumeration all label a small vertex set in a fixed order, try the distinct
 label values in ascending order while a copy is left, and check
 neighborhood equations as soon as they are decidable.  They differ only in
 their tables: which vertices are labeled, which equations each label
-enters, where each equation is checked, which labels are mapped and which
-ties restrict the values.  A tie makes a label equal an earlier one (true
-twins) or not fall below it, a floor: the order inside a false-twin class,
-and the oracle's lex-leader rule that no vertex of vertex 0's automorphism
-orbit takes a smaller label than vertex 0.  An integer linear map fixes a
-position's label from K and the labels at earlier positions, mapped ones
-included: the pivot vertices of A l = K 1 in the enumerator's labeling
-order (`structure.eliminate`), in the oracle and in the forest-boundary
-enumeration, and there also each inner forest vertex, which its first
-child's equation forces.  A mapped position tries its one value and is not
-counted as a node, so only the free positions are searched.
+enters, which labels are mapped and which ties restrict the values.  Where
+an equation is checked is no table choice: every position checks each
+equation its label enters, exactly at the last input.  A tie makes a label
+equal an earlier one (true twins) or not fall below it, a floor: the order
+inside a false-twin class, and the oracle's lex-leader rule that no vertex
+of vertex 0's automorphism orbit takes a smaller label than vertex 0.  An
+integer linear map fixes a position's label from K and the labels at
+earlier positions, mapped ones included: the pivot vertices of A l = K 1
+in the enumerator's labeling order (`structure.eliminate`), in the oracle
+and in the forest-boundary enumeration, and there also each inner forest
+vertex, which its first child's equation forces.  A mapped position tries
+its one value and is not counted as a node, so only the free positions are
+searched.
 
 An equation is "the labels fed into it, plus the labels still to come,
 sum to K".  K must lie between its completions by the smallest and by the
@@ -32,9 +34,9 @@ depth meets no recursion limit.  Every search shares one node budget,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
-from .model import LabelMultiset, RefusalError, SolveStats
+from .model import Graph, LabelMultiset, RefusalError, SolveStats
 from .structure import PivotMap
 
 # nodes any one search may try; the dispatcher plans no larger enumeration
@@ -46,12 +48,12 @@ class SearchTables:
     """What one enumerator labels and checks; independent of K and the labels.
 
     order: the vertices labeled, position by position.
-    feeds: per vertex id, the equations its label enters.
+    feeds: per vertex id, the equations its label enters; a position
+        checks each of them once it is labeled.
     pending: per equation, the labels it waits for before the search starts.
         Less the labels fed to it up to a position, this is what it still
         waits for there on every branch, since the order is fixed; the
         search turns each check into a window on the partial sum once.
-    checks_at: per position, the equations checked once it is labeled.
     ties: per position, None or (earlier vertex, equal): the label must
         equal that vertex's label, or must not fall below it (a floor).
     held: per position, how many later labels the ties hold at or above
@@ -68,11 +70,30 @@ class SearchTables:
     order: tuple[int, ...]
     feeds: Sequence[Sequence[int]]
     pending: Sequence[int]
-    checks_at: Sequence[Sequence[int]]
     ties: Sequence[tuple[int, bool] | None] = ()
     held: Sequence[int] = ()
     maps: Sequence[PivotMap | None] = ()
     root_checks: tuple[int, ...] = ()
+
+
+def neighborhood_tables(graph: Graph, order: Sequence[int], checked: Collection[int],
+                        maps: Sequence[PivotMap | None] = ()) -> SearchTables:
+    """Tables labeling `order` whose equations are the neighborhoods of the
+    `checked` vertices, indexed by vertex id.
+
+    A vertex feeds its checked neighbors, an equation waits for its
+    vertex's whole degree, and a checked vertex with no neighbor in `order`
+    is checked before the first position.
+    """
+    labeled = set(order)
+    adjacency = graph.adjacency
+    return SearchTables(
+        tuple(order),
+        [tuple(u for u in nbrs if u in checked) for nbrs in adjacency],
+        graph.degrees,
+        maps=maps,
+        root_checks=tuple(u for u in sorted(checked) if labeled.isdisjoint(adjacency[u])),
+    )
 
 
 def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStats,
@@ -115,7 +136,7 @@ def ordered_search(tables: SearchTables, labels: LabelMultiset, stats: SolveStat
         anchor, equal = tie or (None, False)
         for u in feeds[v]:
             left[u] -= 1
-        windows = tuple((u, k - left[u] * high, k - left[u] * low) for u in tables.checks_at[i])
+        windows = tuple((u, k - left[u] * high, k - left[u] * low) for u in feeds[v])
         slots.append((v, feeds[v], windows, int(linear is None)))
         ruled = tie is not None or linear is not None or held[i]
         rules.append((anchor, equal, linear, held[i]) if ruled else None)

@@ -48,7 +48,7 @@ from .model import (
     fairness_constant_candidates,  # noqa: F401
     require_constant,
 )
-from .search import ENUMERATION_CAP, SearchTables, ordered_search
+from .search import ENUMERATION_CAP, SearchTables, neighborhood_tables, ordered_search
 from .special import (
     _solve_cycles,
     enumerate_boundary_extensions,
@@ -106,7 +106,7 @@ def _vacuous_outcome(labels: LabelMultiset, stats: SolveStats) -> SolveOutcome:
     return SolveOutcome.make_fair(cert, stats)
 
 
-def _oracle_tables(graph: Graph, elimination: Elimination | None = None) -> SearchTables:
+def _oracle_tables(graph: Graph, elimination: Elimination) -> SearchTables:
     """Exhaustive search over label assignments, pruned by symmetry and by
     the linear system A l = K 1.
 
@@ -124,8 +124,8 @@ def _oracle_tables(graph: Graph, elimination: Elimination | None = None) -> Sear
     A vertex whose label the ties hold below h later labels leaves h copies
     at or above it: vertex 0 takes at most the |orbit|-th largest label.
     Every vertex whose neighborhood is fully labeled must see K exactly;
-    partially labeled neighborhoods prune via min/max completions.  Given
-    the elimination, each pivot vertex gets its `PivotMap`: it involves
+    partially labeled neighborhoods prune via min/max completions.  Each
+    pivot vertex of the elimination gets its `PivotMap`: it involves
     only vertices with lower ids, so with K known the pivot's label is
     fixed when it is reached, and only free vertices are searched.  Two
     fair labelings first differ at a free vertex, so the first one found is
@@ -140,7 +140,7 @@ def _oracle_tables(graph: Graph, elimination: Elimination | None = None) -> Sear
     for cls in part.classes:
         for a, b in zip(cls.vertices, cls.vertices[1:]):
             ties[b] = (a, cls.true_twin)
-    if elimination is None or graph.vertex_count - len(elimination.pivots) >= 2:
+    if graph.vertex_count - len(elimination.pivots) >= 2:
         own = part.classes[0].vertices if part.classes else ()
         for v in first_vertex_orbit(graph, part, ORBIT_NODE_BUDGET):
             if ties[v] is None and v not in own:
@@ -150,14 +150,10 @@ def _oracle_tables(graph: Graph, elimination: Elimination | None = None) -> Sear
         while tie is not None:
             held[tie[0]] += 1
             tie = ties[tie[0]]
-    maps: tuple = ()
-    if elimination:
-        pivots = elimination.pivots
-        maps = tuple(pivots.get(v) for v in range(graph.vertex_count))
-    adjacency = graph.adjacency
+    pivots = elimination.pivots
     return SearchTables(
-        tuple(range(graph.vertex_count)), adjacency, graph.degrees, adjacency,
-        ties=ties, held=held, maps=maps,
+        tuple(range(graph.vertex_count)), graph.adjacency, graph.degrees,
+        ties=ties, held=held, maps=tuple(pivots.get(v) for v in range(graph.vertex_count)),
     )
 
 
@@ -309,30 +305,6 @@ def solve_fvs_alpha_delta(
     return _decide(constants, stats, decide)
 
 
-def _cover_tables(graph: Graph, cover: tuple[int, ...],
-                  equations: list[tuple[tuple[int, ...], int]]) -> SearchTables:
-    """Cover labelings checking each (cover inputs, pending) equation once.
-
-    An equation is checked when its last cover input is labeled (exactly
-    when nothing is pending), and before the search when it has none.
-    """
-    pos_of = {v: i for i, v in enumerate(cover)}
-    feeds: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    checks_at: list[list[int]] = [[] for _ in cover]
-    root_checks = []
-    for eq, (inputs, _pending) in enumerate(equations):
-        for u in inputs:
-            feeds[u].append(eq)
-        if inputs:
-            checks_at[max(pos_of[u] for u in inputs)].append(eq)
-        else:
-            root_checks.append(eq)
-    return SearchTables(
-        cover, feeds, [pending for _inputs, pending in equations], checks_at,
-        root_checks=tuple(root_checks),
-    )
-
-
 def solve_vc_alpha(
     graph: Graph, labels: LabelMultiset, k: int | None = None
 ) -> SolveOutcome:
@@ -341,8 +313,9 @@ def solve_vc_alpha(
     Enumerates labelings of a minimum vertex cover.  Vertices outside the
     cover form an independent set, so each one's equation reads entirely off
     the cover labels and is checked during enumeration, grouped by identical
-    neighborhoods; each cover vertex's equation is checked once its
-    cover-side neighbors are labeled, its independent neighbors pending.
+    neighborhoods; each cover vertex's equation is checked too, its
+    independent neighbors pending.  Every equation is checked as each of its
+    cover inputs is labeled, against the min/max completion of the rest.
     What remains per cover labeling is how many vertices of each class take
     each distinct value: class sizes, leftover multiplicities and the cover
     equations (cover-side adjacency contributes its fixed sum) form an
@@ -365,24 +338,21 @@ def solve_vc_alpha(
         if v not in cover_set:
             groups.setdefault(graph.adjacency[v], []).append(v)
     class_list = sorted(groups.items(), key=lambda item: item[1][0])
-    cover_sides = [tuple(u for u in graph.adjacency[v] if u in cover_set) for v in cover]
     # per cover vertex with independent neighbors: those classes, and the
     # cover-side neighbors whose labels leave the rest of its constant
     cover_rows = []
-    for v, side in zip(cover, cover_sides):
+    for v in cover:
         adjacent = [i for i, (nbrs, _members) in enumerate(class_list) if v in nbrs]
         if adjacent:
-            cover_rows.append((adjacent, side))
+            cover_rows.append((adjacent, tuple(u for u in graph.adjacency[v] if u in cover_set)))
     one_each = {value: {value: 1} for value in labels.distinct_values}
     allocation = Allocation(
         [(len(members), one_each) for _nbrs, members in class_list],
         [adjacent for adjacent, _ in cover_rows],
     )
-    tables = _cover_tables(
-        graph,
-        cover,
-        [(nbrs, len(nbrs)) for nbrs, _members in class_list]
-        + [(side, graph.degree(v)) for v, side in zip(cover, cover_sides)],
+    # a class's first member's equation stands for the whole class
+    tables = neighborhood_tables(
+        graph, cover, cover_set.union(members[0] for _nbrs, members in class_list)
     )
 
     def decide(k: int) -> SolveOutcome:

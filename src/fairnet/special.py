@@ -49,7 +49,7 @@ from .model import (
     certified_outcome,
     require_constant,
 )
-from .search import SearchTables, ordered_search
+from .search import neighborhood_tables, ordered_search
 from .structure import Elimination, PivotMap, connected_components, eliminate
 
 PartialAssignment = dict[int, int]
@@ -357,11 +357,6 @@ def enumerate_boundary_extensions(
     adjacency = graph.adjacency
     known = set(domain) | forest
     checked = {u for u in range(graph.vertex_count) if known.issuperset(adjacency[u])}
-    # per labeled vertex, the checked equations its label enters
-    feeds = [
-        tuple(u for u in adjacency[v] if u in checked) if v in known else ()
-        for v in range(graph.vertex_count)
-    ]
     pos = {v: i for i, v in enumerate(domain)}
     # per domain position, the trees with an inner vertex whose last
     # adjacent domain vertex it labels
@@ -386,14 +381,8 @@ def enumerate_boundary_extensions(
             for w in reversed(child):
                 order.append(w)
                 maps.append((1, 1, tuple((u, 1) for u in adjacency[child[w]] if u != w)))
-    tables = SearchTables(
-        tuple(order),
-        feeds,
-        graph.degrees,
-        [feeds[v] for v in order],
-        maps=maps if any(maps) else [],
-        # an isolated vertex sees 0, never the positive K
-        root_checks=tuple(u for u in sorted(checked) if not adjacency[u]),
-    )
+    # every known vertex is labeled, so only an isolated checked vertex is
+    # checked at the root: it sees 0, never the positive K
+    tables = neighborhood_tables(graph, order, checked, maps if any(maps) else [])
     for values in ordered_search(tables, labels, stats or SolveStats(), k):
         yield {v: values[v] for v in order}

@@ -790,7 +790,7 @@ def reference_oracle_tables(graph: Graph) -> SearchTables:
             ties[b] = (a, cls.true_twin)
     adjacency = graph.adjacency
     return SearchTables(
-        tuple(range(graph.vertex_count)), adjacency, graph.degrees, adjacency, ties=ties
+        tuple(range(graph.vertex_count)), adjacency, graph.degrees, ties=ties
     )
 
 
@@ -831,7 +831,7 @@ def orbit_oracle_tables(graph: Graph) -> SearchTables:
             tie = ties[tie[0]]
     adjacency = graph.adjacency
     return SearchTables(
-        tuple(range(graph.vertex_count)), adjacency, graph.degrees, adjacency,
+        tuple(range(graph.vertex_count)), adjacency, graph.degrees,
         ties=ties, held=held,
     )
 
@@ -1011,10 +1011,61 @@ def recursive_ordered_search(tables: RecursiveSearchTables, labels: LabelMultise
 
 
 def recursive_tables(tables: SearchTables) -> RecursiveSearchTables:
-    """The same tables for the recursive kernel: nothing forced."""
+    """The same tables for the recursive kernel: nothing forced, and each
+    position checking every equation its label enters."""
     return RecursiveSearchTables(
-        tables.order, tables.feeds, tables.pending, tables.checks_at, ties=tables.ties,
-        held=tables.held, maps=tables.maps, root_checks=tables.root_checks,
+        tables.order, tables.feeds, tables.pending, [tables.feeds[v] for v in tables.order],
+        ties=tables.ties, held=tables.held, maps=tables.maps, root_checks=tables.root_checks,
+    )
+
+
+# vc-alpha's search tables as they were before every label checked the
+# equations it feeds, copied verbatim (only renamed, building the recursive
+# kernel's tables): each equation checked once, at its last cover input.
+# vc-alpha's search must yield the recursive kernel's stream on them, in its
+# order, in no more nodes.
+def reference_cover_tables(graph: Graph, cover: tuple[int, ...],
+                           equations: list[tuple[tuple[int, ...], int]]
+                           ) -> RecursiveSearchTables:
+    """Cover labelings checking each (cover inputs, pending) equation once.
+
+    An equation is checked when its last cover input is labeled (exactly
+    when nothing is pending), and before the search when it has none.
+    """
+    pos_of = {v: i for i, v in enumerate(cover)}
+    feeds: list[list[int]] = [[] for _ in range(graph.vertex_count)]
+    checks_at: list[list[int]] = [[] for _ in cover]
+    root_checks = []
+    for eq, (inputs, _pending) in enumerate(equations):
+        for u in inputs:
+            feeds[u].append(eq)
+        if inputs:
+            checks_at[max(pos_of[u] for u in inputs)].append(eq)
+        else:
+            root_checks.append(eq)
+    return RecursiveSearchTables(
+        cover, feeds, [pending for _inputs, pending in equations], checks_at,
+        root_checks=tuple(root_checks),
+    )
+
+
+def reference_vc_alpha_tables(graph: Graph) -> RecursiveSearchTables:
+    """The cover and equations `solve_vc_alpha` handed `reference_cover_tables`:
+    one equation per class of equal independent neighborhoods, then one per
+    cover vertex over its cover-side neighbors."""
+    cover = minimum_vertex_cover(graph)
+    cover_set = set(cover)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v in range(graph.vertex_count):
+        if v not in cover_set:
+            groups.setdefault(graph.adjacency[v], []).append(v)
+    class_list = sorted(groups.items(), key=lambda item: item[1][0])
+    cover_sides = [tuple(u for u in graph.adjacency[v] if u in cover_set) for v in cover]
+    return reference_cover_tables(
+        graph,
+        cover,
+        [(nbrs, len(nbrs)) for nbrs, _members in class_list]
+        + [(side, graph.degree(v)) for v, side in zip(cover, cover_sides)],
     )
 
 

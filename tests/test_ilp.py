@@ -40,6 +40,11 @@ class TestTypes:
         with pytest.raises(InputError):
             IntVar("x", 3, 2)
 
+    @pytest.mark.parametrize("lower, upper", [(True, 2), (0, True), (False, False)])
+    def test_rejects_bool_bounds(self, lower, upper):
+        with pytest.raises(InputError):
+            IntVar("x", lower, upper)
+
     def test_rejects_bad_relation(self):
         with pytest.raises(InputError):
             Constraint((1,), "<", 3)

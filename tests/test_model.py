@@ -110,6 +110,10 @@ class TestLabelMultiset:
         with pytest.raises(InputError):
             LabelMultiset.from_iterable([LABEL_SUM_LIMIT])
 
+    def test_rejects_bools(self):
+        with pytest.raises(InputError):
+            LabelMultiset((True, 2))
+
     def test_contains_and_minus(self):
         s = LabelMultiset.from_iterable([1, 1, 2, 3])
         t = LabelMultiset.from_iterable([1, 3])
@@ -186,6 +190,10 @@ class TestCertificate:
     def test_rejects_nonpositive_constant(self):
         with pytest.raises(InputError):
             FairnessCertificate((1, 2), 0)
+
+    def test_rejects_a_bool_constant(self):
+        with pytest.raises(InputError):
+            FairnessCertificate((1,), True)
 
     def test_length_mismatch_checks_false(self):
         g = cycle_graph(4)

@@ -58,6 +58,7 @@ from support import (
     reference_ordered_eliminate,
     reference_parameter_report,
     reference_solve_regular_fvs,
+    reference_vc_alpha_tables,
 )
 from test_structure import NEGATIVE_WEIGHT, ZERO_WEIGHT
 
@@ -554,10 +555,10 @@ class TestEnumerators:
         "family, algo, pinned",
         [
             ("circulant", "oracle", (False, None, 10, 0)),
-            ("circulant", "vc-alpha", (False, None, 74436, 116)),
+            ("circulant", "vc-alpha", (False, None, 49604, 116)),
             ("circulant", "fvs-alpha-delta", (False, None, 10, 0)),
             ("3part-k33", "oracle", (True, (1, 3, 5, 2, 3, 4), 5, 0)),
-            ("3part-k33", "vc-alpha", (True, (1, 3, 5, 2, 3, 4), 10, 1)),
+            ("3part-k33", "vc-alpha", (True, (1, 3, 5, 2, 3, 4), 7, 1)),
             ("3part-k33", "fvs-alpha-delta", (True, (1, 3, 5, 2, 3, 4), 5, 0)),
         ],
     )
@@ -969,7 +970,7 @@ class TestLinearForcing:
     def test_a_mapped_position_takes_its_one_value(self):
         # no equations: l_1 = (K - l_0) / 2 alone decides, for K = 5
         def run(labels, k, ties=()):
-            tables = SearchTables((0, 1), ((), ()), (), ((), ()), ties=ties,
+            tables = SearchTables((0, 1), ((), ()), (), ties=ties,
                                   maps=(None, (2, 1, ((0, 1),))))
             stats = SolveStats()
             found = [tuple(values) for values in ordered_search(tables, labels, stats, k)]
@@ -984,7 +985,6 @@ class TestLinearForcing:
 
     def test_constants_are_enumerated_without_maps(self):
         graph = gen_circulant(10, 4)
-        assert solvers._oracle_tables(graph).maps == ()
         labels = S(*[1, 3] * 5)
         assert oracle_constants(graph, labels) == [8]
         assert solve_oracle(graph, labels).certificate.constant == 8
@@ -1141,10 +1141,10 @@ def _synthetic_tables(rng):
     """Seeded random tables no enumerator builds, and a multiset for them.
 
     A random order over a random subset of ids with random feeds; each
-    equation checked at random positions at or after its first input (or
-    at the root when nothing labeled feeds it) and waiting for up to two
-    labels past its labeled inputs; floor and equal ties with the `held`
-    counts they imply; now and then a linear map over earlier vertices.
+    equation waiting for up to two labels past its labeled inputs, and now
+    and then checked at the root when nothing labeled feeds it; floor and
+    equal ties with the `held` counts they imply; now and then a linear map
+    over earlier vertices.
     """
     ids = rng.randint(1, 8)
     order = tuple(rng.sample(range(ids), rng.randint(0, ids)))
@@ -1154,16 +1154,7 @@ def _synthetic_tables(rng):
              for _ in range(ids)]
     inputs = [[position[v] for v in order if u in feeds[v]] for u in range(equations)]
     pending = [len(fed) + rng.choice((0, 0, 1, 2)) for fed in inputs]
-    checks_at = [[] for _ in order]
-    root_checks = []
-    for u, fed in enumerate(inputs):
-        if not fed:
-            if rng.random() < 0.7:
-                root_checks.append(u)
-            continue
-        for i in range(min(fed), len(order)):
-            if rng.random() < 0.5 or i == max(fed) and rng.random() < 0.5:
-                checks_at[i].append(u)
+    root_checks = [u for u, fed in enumerate(inputs) if not fed and rng.random() < 0.7]
     ties = [None] * len(order)
     maps = [None] * len(order)
     for i in range(1, len(order)):
@@ -1180,7 +1171,7 @@ def _synthetic_tables(rng):
             tie = ties[position[tie[0]]]
     pool = rng.sample(range(1, 7), rng.randint(1, 3))
     labels = S(*(rng.choice(pool) for _ in range(max(1, len(order)) + rng.randint(0, 2))))
-    tables = SearchTables(order, feeds, pending, checks_at, ties=ties, held=held,
+    tables = SearchTables(order, feeds, pending, ties=ties, held=held,
                           maps=maps, root_checks=tuple(root_checks))
     return tables, labels
 
@@ -1193,12 +1184,12 @@ class TestSearchLoop:
         # K runs from below every equation's completions to above them all
         rng = random.Random(2311)
         early = padded = rooted = floors = equals = mapped = yielded = 0
-        for _ in range(1000):
+        for _ in range(1300):
             tables, labels = _synthetic_tables(rng)
             order, feeds = tables.order, tables.feeds
+            # an equation with two labeled inputs is checked before its last
             early += any(
-                u in feeds[v] for i, checks in enumerate(tables.checks_at)
-                for u in checks for v in order[i + 1:]
+                sum(u in feeds[v] for v in order) >= 2 for u in range(len(tables.pending))
             )
             padded += any(
                 left > sum(u in feeds[v] for v in order) for u, left in enumerate(tables.pending)
@@ -1226,8 +1217,8 @@ class TestSearchLoop:
             tables, labels, k = seen[0]
             mapped += any(tables.maps)
             n, adjacency = graph.vertex_count, graph.adjacency
-            plain = SearchTables(tuple(range(n)), adjacency, graph.degrees, adjacency)
-            for each in (tables, solvers._oracle_tables(graph), reference_oracle_tables(graph),
+            plain = SearchTables(tuple(range(n)), adjacency, graph.degrees)
+            for each in (tables, orbit_oracle_tables(graph), reference_oracle_tables(graph),
                          plain):
                 _assert_same_stream(each, labels, k)
             yielded += next(ordered_search(plain, labels, SolveStats(), k), None) is not None
@@ -1278,6 +1269,60 @@ class TestSearchLoop:
                 assert ours.nodes == theirs.nodes
                 yielded += trees and bool(stream)
         assert forced >= 550 and yielded >= 800
+
+
+def _cover_instances(rng):
+    """Seeded vc-alpha instances: 3x3 semimagic grids on 1..4, 4-regular
+    circulants n 8-10 with repeated labels and 3part-k33 with m 2-4, then
+    the boundary instances."""
+    instances = []
+    for i in range(60):
+        if i % 3 == 0:
+            made = gen_semimagic(SemiMagicSpec(3, tuple(rng.randint(1, 4) for _ in range(9))))
+            graph, labels = made.graph, made.labels
+        elif i % 3 == 1:
+            n = rng.randint(8, 10)
+            graph = gen_circulant(n, 4)
+            pool = rng.sample(range(1, 7), 3)
+            labels = S(*(rng.choice(pool) for _ in range(n)))
+        else:
+            m = rng.randint(2, 4)
+            while True:
+                w = tuple(rng.randint(1, 5) for _ in range(3 * m))
+                if sum(w) % m == 0:
+                    break
+            made = gen_3partition_k33(ThreePartitionInstance(w, m))
+            graph, labels = made.graph, made.labels
+        instances.append((graph, labels, None))
+    return instances + _boundary_instances(rng)
+
+
+class TestCoverChecks:
+    """Every cover label checks the equations it feeds: vc-alpha's search
+    yields what checking each equation at its last cover input yields, in
+    its order, in no more nodes."""
+
+    def test_same_stream_as_last_input_checks(self, monkeypatch):
+        rng = random.Random(2417)
+        searches = fewer = 0
+        for graph, labels, k in _cover_instances(rng):
+            with monkeypatch.context() as patch:
+                seen = _record_searches(patch, solvers)
+                try:
+                    solve_vc_alpha(graph, labels, k)
+                except RefusalError:
+                    continue
+            for tables, labels, k in seen:
+                ours, theirs = SolveStats(), SolveStats()
+                got = [tuple(values) for values in ordered_search(tables, labels, ours, k)]
+                reference = reference_vc_alpha_tables(graph)
+                want = [tuple(values) for values, _k
+                        in recursive_ordered_search(reference, labels, theirs, k)]
+                assert got == want
+                assert ours.nodes <= theirs.nodes
+                searches += 1
+                fewer += ours.nodes < theirs.nodes
+        assert searches >= 700 and fewer >= 350
 
 
 def _regular_instances(rng):

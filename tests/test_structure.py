@@ -49,6 +49,7 @@ from fairnet.structure import (
     vertex_cover_number,
 )
 from fairnet import solvers, structure
+from fairnet.search import SearchTables
 from fairnet.solvers import ORBIT_NODE_BUDGET, _oracle_tables
 from support import (
     _is_acyclic,
@@ -58,6 +59,7 @@ from support import (
     constructed_fair,
     gauss_jordan_weights,
     grid,
+    orbit_oracle_tables,
     hypercube,
     random_graph,
     random_labels,
@@ -698,10 +700,10 @@ class TestElimination:
             assert values[2] == first
 
 
-def _floored(graph: Graph) -> set[int]:
-    """Vertices outside vertex 0's twin class that the oracle's ties hold at
+def _floored(graph: Graph, tables: SearchTables) -> set[int]:
+    """Vertices outside vertex 0's twin class that the tables' ties hold at
     or above vertex 0's label, directly or through earlier ties."""
-    ties = _oracle_tables(graph).ties
+    ties = tables.ties
     floored = set()
     for v in range(1, graph.vertex_count):
         u = v
@@ -766,7 +768,7 @@ class TestFirstVertexOrbit:
         for _ in range(300):
             g = _orbit_graph(rng)
             orbit = brute_first_vertex_orbit(g)
-            assert _floored(g) <= orbit
+            assert _floored(g, orbit_oracle_tables(g)) <= orbit
             found = first_vertex_orbit(g, twin_classes(g), ORBIT_NODE_BUDGET)
             # the budget does not bind on graphs this small
             assert set(found) == orbit
@@ -791,7 +793,7 @@ class TestFirstVertexOrbit:
         if graph.vertex_count <= 8:
             assert brute_first_vertex_orbit(graph) == everything
         own = set(twin_classes(graph).classes[0].vertices)
-        assert _floored(graph) == everything - own
+        assert _floored(graph, orbit_oracle_tables(graph)) == everything - own
 
     def test_no_budget_gives_no_floors_and_the_same_outcome(self, monkeypatch):
         rng = random.Random(59)
@@ -806,8 +808,11 @@ class TestFirstVertexOrbit:
                 patch.setattr(solvers, "ORBIT_NODE_BUDGET", 0)
                 own = twin_classes(g).classes[0].vertices
                 assert first_vertex_orbit(g, twin_classes(g), 0) == own
-                assert _oracle_tables(g).ties == reference_oracle_tables(g).ties
-                assert not _floored(g)
+                # support's tables read the budget at import, so the patched
+                # oracle tables take the graph's own elimination
+                tables = _oracle_tables(g, eliminate(g))
+                assert tables.ties == reference_oracle_tables(g).ties
+                assert not _floored(g, tables)
                 unbudgeted = solve_oracle(g, labels)
             assert budgeted.verdict == unbudgeted.verdict
             assert budgeted.certificate == unbudgeted.certificate
