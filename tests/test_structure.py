@@ -59,8 +59,8 @@ from support import (
     constructed_fair,
     gauss_jordan_weights,
     grid,
-    orbit_oracle_tables,
     hypercube,
+    orbit_oracle_tables,
     random_graph,
     random_labels,
     reference_eliminate,
